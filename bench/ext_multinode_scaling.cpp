@@ -6,7 +6,8 @@
 // profiles over a 200 Gb/s-class interconnect, at the paper's problem
 // size.  A scaled executed run (tests/test_cluster.cpp) verifies that
 // multi-node execution is functionally identical to single-node.
-#include "cluster/cluster.hpp"
+#include "gpusim/spec.hpp"
+#include "mp/model.hpp"
 #include "support.hpp"
 
 int main(int argc, char** argv) {
@@ -28,13 +29,16 @@ int main(int argc, char** argv) {
   for (PrecisionMode mode : {PrecisionMode::FP64, PrecisionMode::Mixed}) {
     double single = 0.0;
     for (int nodes : {1, 2, 4, 8, 16}) {
-      cluster::ClusterConfig config;
-      config.nodes = nodes;
-      config.devices_per_node = 4;
+      mp::ModelConfig config;
+      config.spec = gpusim::a100();
+      config.n_r = n;
+      config.n_q = n;
+      config.dims = d;
       config.window = m;
       config.mode = mode;
       config.tiles = int(args.get_int("tiles", 128));
-      const auto r = cluster::model_cluster(n, n, d, m, config);
+      config.devices = 4;  // per node
+      const auto r = mp::model_cluster(config, nodes);
       if (nodes == 1) single = r.total_seconds();
       const double eff =
           single / (double(nodes) * r.total_seconds());

@@ -371,11 +371,11 @@ void BM_RowBatchDispatch(benchmark::State& state) {
 }
 
 void BM_CoordinatorDispatch(benchmark::State& state) {
-  // Per-tile overhead of the elastic multi-node coordinator: one full
-  // tiny matrix-profile run per iteration (8 tiles, 2 devices per node),
-  // items = tiles retired per second.  nodes == 1 is the passthrough
-  // single-node cost; larger node counts add the coordinator's dispatch,
-  // commit arbitration and node lifecycle machinery on top.
+  // Per-tile overhead of elastic multi-node runs: one full tiny
+  // matrix-profile run per iteration (8 tiles, 2 devices per node),
+  // items = tiles retired per second.  nodes == 1 is the plain
+  // single-node cost; larger node counts add the node-level accounting,
+  // cross-node stealing and lifecycle spans on top.
   const int nodes = int(state.range(0));
   SyntheticSpec spec;
   spec.segments = 128;

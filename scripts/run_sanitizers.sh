@@ -50,10 +50,14 @@ run_one() {
         --gtest_filter='ResilientScheduler.Watchdog*:ResilientScheduler.RepeatedHangs*' \
         --gtest_repeat=5
     bash tests/chaos_soak_test.sh "$dir"
-    # The elastic coordinator runs a monitor thread plus one shard
-    # scheduler (monitor + device workers) per simulated node; soak the
-    # cross-node recovery paths and the full multi-node identity leg.
+    # Elastic runs put every simulated node's devices under the one
+    # scheduler (monitor + device workers); soak the cross-node recovery
+    # paths, the node-crash determinism test (50 crash runs per pass),
+    # and the full multi-node identity leg.
     "$dir"/tests/test_cluster --gtest_filter='ElasticCoordinator.*' \
+        --gtest_repeat=3
+    "$dir"/tests/test_cluster \
+        --gtest_filter='ElasticCoordinator.NodeCrashFiresOnEveryRepeat' \
         --gtest_repeat=3
     bash tests/cli_cluster_test.sh "$dir"
     # The serve daemon adds accept/connection/executor threads on top of

@@ -1,318 +1,11 @@
 #include "cluster/coordinator.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <set>
-#include <string>
-#include <thread>
-#include <utility>
-#include <vector>
-
-#include "cluster/node.hpp"
 #include "common/error.hpp"
-#include "common/metrics.hpp"
-#include "common/shutdown.hpp"
-#include "common/stopwatch.hpp"
 #include "gpusim/faults.hpp"
-#include "mp/checkpoint.hpp"
+#include "gpusim/spec.hpp"
 #include "mp/resilient.hpp"
-#include "mp/tile_plan.hpp"
 
 namespace mpsim::cluster {
-
-namespace {
-
-using mp::CheckpointSlice;
-using mp::RunEvent;
-using mp::Tile;
-using mp::TileResult;
-
-/// Coordinator instruments, registered once (additive on the v2 metrics
-/// schema; all zero in single-node runs, which never construct this).
-struct CoordinatorMetrics {
-  Counter& tiles_dispatched;  ///< tiles a node actually started
-  Counter& steals;            ///< cross-node steals of unstarted tiles
-  Counter& duplicates;        ///< straggler tiles re-dispatched
-  Counter& node_crashes;      ///< shards lost to NodeFailedError
-  Counter& cpu_fallback_tiles;///< tiles the coordinator finished on CPU
-  Counter& node_commits;      ///< winning shard commits
-  Counter& node_commit_conflicts;  ///< commits that lost the global race
-  Gauge& nodes;               ///< node count of the current run
-
-  static CoordinatorMetrics& get() {
-    static auto& reg = MetricsRegistry::global();
-    static CoordinatorMetrics metrics{
-        reg.counter("coordinator.tiles_dispatched"),
-        reg.counter("coordinator.steals"),
-        reg.counter("coordinator.duplicates"),
-        reg.counter("coordinator.node_crashes"),
-        reg.counter("coordinator.cpu_fallback_tiles"),
-        reg.counter("node.commits"),
-        reg.counter("node.commit_conflicts"),
-        reg.gauge("coordinator.nodes")};
-    return metrics;
-  }
-};
-
-/// Per-tile dispatch state, all guarded by Coord::mutex.
-struct TileState {
-  int owner = -1;        ///< node currently responsible (-1 = pooled)
-  int dup_runner = -1;   ///< second node racing a straggler (-1 = none)
-  bool started = false;  ///< some node began executing it
-  bool dup_issued = false;   ///< straggler duplicate already issued
-  bool pooled = false;       ///< an unclaimed recovery-pool entry exists
-  double start_seconds = 0.0;
-};
-
-/// Global coordinator state shared by every node's hooks, the straggler
-/// monitor and the driver.  One mutex; the lock order is always
-/// shard mutex → Coord::mutex (hooks run under the shard's lock).
-struct Coord {
-  std::mutex mutex;
-  const mp::MatrixProfileConfig* config = nullptr;
-  const std::vector<Tile>* tiles = nullptr;
-  Stopwatch* clock = nullptr;
-  bool steal = true;
-
-  std::vector<char> committed;       ///< global commit bit per tile
-  std::vector<TileState> state;
-  std::vector<std::set<std::size_t>> unstarted;  ///< per node: owned, queued
-  std::deque<std::size_t> pool;      ///< released / duplicated tiles
-  std::vector<char> node_alive;
-  std::size_t outstanding = 0;
-  std::uint64_t total_commits = 0;
-
-  // Global result arrays (what assemble_tile_results consumes).
-  std::vector<TileResult> results;
-  std::vector<int> executed_device;
-  std::vector<PrecisionMode> final_mode;
-  std::vector<char> result_valid;
-
-  std::vector<RunEvent> events;  ///< coordinator-level lifecycle events
-  int steals = 0;
-  int duplicates = 0;
-  int crashes = 0;
-  int commit_conflicts = 0;
-
-  /// EWMA of started→committed wall seconds, the straggler baseline.
-  double wall_ewma = 0.0;
-};
-
-/// Builds the ShardHooks of node `k` — the entire cross-node protocol.
-mp::ShardHooks make_hooks(Coord& coord, int k,
-                          gpusim::FaultInjector* node_injector) {
-  mp::ShardHooks hooks;
-
-  hooks.should_run = [&coord, k](std::size_t t) {
-    std::lock_guard lock(coord.mutex);
-    if (coord.committed[t]) return false;
-    TileState& ts = coord.state[t];
-    if (ts.owner != k && ts.dup_runner != k) return false;  // claim revoked
-    if (!ts.started) {
-      ts.started = true;
-      ts.start_seconds = coord.clock->seconds();
-      coord.unstarted[std::size_t(k)].erase(t);
-      CoordinatorMetrics::get().tiles_dispatched.add();
-    }
-    return true;
-  };
-
-  hooks.on_commit = [&coord, k](std::size_t t, TileResult& result, int device,
-                                PrecisionMode mode) {
-    (void)k;
-    bool kill_due = false;
-    {
-      std::lock_guard lock(coord.mutex);
-      if (coord.committed[t]) {
-        coord.commit_conflicts += 1;
-        CoordinatorMetrics::get().node_commit_conflicts.add();
-        return false;
-      }
-      coord.committed[t] = 1;
-      coord.outstanding -= 1;
-      coord.total_commits += 1;
-      TileResult& slot = coord.results[t];
-      slot.profile = result.profile;  // copy: the shard keeps its own for
-      slot.index = result.index;      // its side journal
-      slot.ledger.reset();
-      slot.ledger.merge_from(result.ledger);
-      slot.prefilter = result.prefilter;
-      coord.executed_device[t] = device;
-      coord.final_mode[t] = mode;
-      coord.result_valid[t] = 1;
-      TileState& ts = coord.state[t];
-      if (ts.started) {
-        const double elapsed = coord.clock->seconds() - ts.start_seconds;
-        coord.wall_ewma = coord.wall_ewma <= 0.0
-                              ? elapsed
-                              : 0.7 * coord.wall_ewma + 0.3 * elapsed;
-      }
-      CoordinatorMetrics::get().node_commits.add();
-      kill_due = coord.config->checkpoint.kill_after_tiles > 0 &&
-                 coord.total_commits ==
-                     std::uint64_t(coord.config->checkpoint.kill_after_tiles);
-    }
-    if (kill_due) request_shutdown();
-    return true;
-  };
-
-  hooks.committed_elsewhere = [&coord](std::size_t t) {
-    std::lock_guard lock(coord.mutex);
-    return coord.committed[t] != 0;
-  };
-
-  hooks.all_done = [&coord] {
-    std::lock_guard lock(coord.mutex);
-    return coord.outstanding == 0;
-  };
-
-  hooks.acquire_more = [&coord, k]() -> std::optional<std::size_t> {
-    std::lock_guard lock(coord.mutex);
-    // Recovery pool first — released tiles of crashed nodes and straggler
-    // duplicates.  Always active, --steal=off only disables peer stealing.
-    const std::size_t scan = coord.pool.size();
-    for (std::size_t i = 0; i < scan; ++i) {
-      const std::size_t t = coord.pool.front();
-      coord.pool.pop_front();
-      TileState& ts = coord.state[t];
-      ts.pooled = false;
-      if (coord.committed[t]) continue;  // stale entry, drop
-      if (ts.started) {
-        // Straggler duplicate: must land on a node other than the one
-        // already running it.
-        if (ts.dup_runner != -1) continue;  // already claimed, drop
-        if (ts.owner == k) {
-          coord.pool.push_back(t);  // leave it for another node
-          ts.pooled = true;
-          continue;
-        }
-        ts.dup_runner = k;
-        coord.duplicates += 1;
-        CoordinatorMetrics::get().duplicates.add();
-        coord.events.push_back(
-            {RunEvent::Kind::kNodeDuplicated, (*coord.tiles)[t].id, k,
-             "owner node " + std::to_string(ts.owner) + " overdue"});
-        return t;
-      }
-      // Unstarted release (crashed or early-exited owner): plain reclaim.
-      ts.owner = k;
-      coord.unstarted[std::size_t(k)].insert(t);
-      return t;
-    }
-    if (!coord.steal) return std::nullopt;
-    // Steal one unstarted tile from the most-loaded live peer.
-    int victim = -1;
-    std::size_t best = 0;
-    for (int j = 0; j < int(coord.unstarted.size()); ++j) {
-      if (j == k || coord.node_alive[std::size_t(j)] == 0) continue;
-      if (coord.unstarted[std::size_t(j)].size() > best) {
-        best = coord.unstarted[std::size_t(j)].size();
-        victim = j;
-      }
-    }
-    if (victim < 0) return std::nullopt;
-    auto& set = coord.unstarted[std::size_t(victim)];
-    auto it = std::prev(set.end());
-    const std::size_t t = *it;
-    set.erase(it);
-    coord.state[t].owner = k;
-    coord.unstarted[std::size_t(k)].insert(t);
-    coord.steals += 1;
-    CoordinatorMetrics::get().steals.add();
-    coord.events.push_back({RunEvent::Kind::kNodeStolen,
-                            (*coord.tiles)[t].id, k,
-                            "from node " + std::to_string(victim)});
-    return t;
-  };
-
-  hooks.on_tile_start = [&coord, k, node_injector](
-                            std::size_t t,
-                            const gpusim::CancellationToken* token) {
-    if (node_injector == nullptr) return;
-    node_injector->fire(gpusim::FaultSite::kNodeTile, k,
-                        "tile " + std::to_string((*coord.tiles)[t].id),
-                        token);
-  };
-
-  return hooks;
-}
-
-/// Marks node `k` dead and releases its uncommitted claims into the
-/// recovery pool (promoting a live duplicate runner to owner when one
-/// exists).  Called by the node-runner thread the moment its shard
-/// returns, so recovery overlaps the surviving nodes' execution.
-void release_node(Coord& coord, int k) {
-  std::lock_guard lock(coord.mutex);
-  coord.node_alive[std::size_t(k)] = 0;
-  for (std::size_t t = 0; t < coord.state.size(); ++t) {
-    if (coord.committed[t]) continue;
-    TileState& ts = coord.state[t];
-    if (ts.dup_runner == k) {
-      ts.dup_runner = -1;
-      ts.dup_issued = false;  // the monitor may re-duplicate
-    }
-    if (ts.owner != k) continue;
-    if (ts.dup_runner != -1 &&
-        coord.node_alive[std::size_t(ts.dup_runner)] != 0) {
-      ts.owner = ts.dup_runner;  // promote the backup runner
-      ts.dup_runner = -1;
-      continue;
-    }
-    ts.owner = -1;
-    ts.started = false;
-    ts.dup_issued = false;
-    if (!ts.pooled) {
-      ts.pooled = true;
-      coord.pool.push_back(t);
-    }
-  }
-  coord.unstarted[std::size_t(k)].clear();
-}
-
-/// Writes the merged base journal: every globally committed tile as a
-/// complete slice, plus the merged event history.  The per-node side
-/// journals supply mid-run durability; this is the authoritative record
-/// a later --resume starts from.
-void write_base_journal(const Coord& coord,
-                        const mp::MatrixProfileConfig& config,
-                        std::uint64_t fingerprint, std::size_t dims,
-                        const std::vector<RunEvent>& events) {
-  mp::CheckpointData data;
-  data.fingerprint = fingerprint;
-  data.tile_count = coord.tiles->size();
-  for (std::size_t t = 0; t < coord.tiles->size(); ++t) {
-    if (coord.committed[t] == 0 || coord.result_valid[t] == 0) continue;
-    const Tile& tile = (*coord.tiles)[t];
-    CheckpointSlice slice;
-    slice.tile_index = t;
-    slice.tile_id = tile.id;
-    slice.device = coord.executed_device[t];
-    slice.node = coord.executed_device[t] >= 0
-                     ? coord.executed_device[t] / config.devices
-                     : -1;
-    slice.complete = 1;
-    slice.mode = coord.final_mode[t];
-    slice.r_begin = tile.r_begin;
-    slice.r_count = tile.r_count;
-    slice.q_begin = tile.q_begin;
-    slice.q_count = tile.q_count;
-    slice.dims = dims;
-    slice.profile = coord.results[t].profile;
-    slice.index = coord.results[t].index;
-    slice.prefilter = coord.results[t].prefilter;
-    data.slices.push_back(std::move(slice));
-  }
-  data.events = events;
-  mp::write_checkpoint(config.checkpoint.write_path, data);
-}
-
-}  // namespace
 
 mp::MatrixProfileResult compute_matrix_profile_elastic(
     const TimeSeries& reference, const TimeSeries& query,
@@ -325,308 +18,26 @@ mp::MatrixProfileResult compute_matrix_profile_elastic(
     throw ConfigError(
         "nodes must be <= 64 (resume probes that many side journals)");
   }
-  if (cluster.nodes == 1 && cluster.node_faults.empty()) {
-    return mp::compute_matrix_profile(reference, query, config);
-  }
   mp::validate_config(reference, query, config);
 
-  // The node-level injector is coordinator-owned and separate from the
-  // per-device config.fault_injector (which keeps addressing devices by
-  // their global indices across every node's fleet).
   gpusim::FaultInjector node_injector;
-  gpusim::FaultInjector* node_faults = nullptr;
+  mp::FaultDomains domains;
+  domains.nodes = cluster.nodes;
+  domains.steal = cluster.steal;
   if (!cluster.node_faults.empty()) {
     node_injector.configure(cluster.node_faults);
-    node_faults = &node_injector;
+    domains.injector = &node_injector;
   }
 
-  const std::size_t m = config.window;
-  const std::size_t d = reference.dims();
-  const std::size_t n_q = query.segment_count(m);
-
-  Stopwatch wall;
-  auto& registry = MetricsRegistry::global();
-  ScopedEvent run_span(registry, "coordinator", -1, "cpu");
-  CoordinatorMetrics::get().nodes.set(double(cluster.nodes));
-
-  // Two-level assignment: tiles → nodes here (the Tile::device field
-  // holds the owning *node*); the shard scheduler spreads a node's tiles
-  // over its devices.  Assignment never affects output bits.
-  auto tiles = mp::compute_tile_list(reference.segment_count(m), n_q,
-                                     config.tiles);
-  if (config.assignment == mp::TileAssignment::kLpt) {
-    mp::assign_tiles_lpt(tiles, cluster.nodes);
-  } else {
-    mp::assign_tiles_round_robin(tiles, cluster.nodes);
+  // One fleet of nodes × devices: the per-device worker share is the
+  // same as `nodes` fleets of `devices` each would get.
+  gpusim::MachineSpec spec = gpusim::spec_by_name(config.machine);
+  if (config.device_memory_bytes != 0) {
+    spec.memory_capacity_bytes = config.device_memory_bytes;
   }
-
-  const std::uint64_t fingerprint =
-      mp::checkpoint_fingerprint(reference, query, config);
-
-  Coord coord;
-  coord.config = &config;
-  coord.tiles = &tiles;
-  coord.clock = &wall;
-  coord.steal = cluster.steal;
-  coord.committed.assign(tiles.size(), 0);
-  coord.state.assign(tiles.size(), TileState{});
-  coord.unstarted.assign(std::size_t(cluster.nodes), {});
-  coord.node_alive.assign(std::size_t(cluster.nodes), 1);
-  coord.results = std::vector<TileResult>(tiles.size());
-  coord.executed_device.assign(tiles.size(), -1);
-  coord.final_mode.assign(tiles.size(), config.mode);
-  coord.result_valid.assign(tiles.size(), 0);
-
-  mp::RunHealth health;
-
-  // ---- Elastic resume: re-key journalled slices onto this grid. ----
-  std::vector<CheckpointSlice> prefixes(tiles.size());
-  if (!config.checkpoint.resume_path.empty()) {
-    mp::RestoredState restored = mp::restore_from_journals(
-        config.checkpoint.resume_path, fingerprint, tiles, d, config);
-    health.events = std::move(restored.events);
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-      if (!restored.committed[t]) continue;
-      coord.committed[t] = 1;
-      coord.result_valid[t] = 1;
-      coord.results[t].profile = std::move(restored.results[t].profile);
-      coord.results[t].index = std::move(restored.results[t].index);
-      coord.results[t].prefilter = restored.results[t].prefilter;
-      coord.executed_device[t] = restored.executed_device[t];
-      coord.final_mode[t] = restored.final_mode[t];
-    }
-    prefixes = std::move(restored.prefixes);
-    coord.total_commits = restored.resumed;
-    health.resumed_tiles = int(restored.resumed);
-    health.partial_slices = int(restored.partial);
-    health.resume_fallbacks = int(restored.fallbacks);
-    health.slices_discarded = int(restored.discarded);
-    registry.counter("resilient.tiles_resumed").add(restored.resumed);
-    registry.counter("resilient.slices_partial").add(restored.partial);
-    registry.counter("resilient.resume_fallback").add(restored.fallbacks);
-    registry.counter("resilient.slices_discarded").add(restored.discarded);
-    for (RunEvent& event : restored.log) {
-      coord.events.push_back(std::move(event));
-    }
-    if (restored.resumed > 0 || restored.partial > 0) {
-      coord.events.push_back(
-          {RunEvent::Kind::kResumed, -1, -1,
-           std::to_string(restored.resumed) + "/" +
-               std::to_string(tiles.size()) + " tiles (+" +
-               std::to_string(restored.partial) + " partial) from " +
-               config.checkpoint.resume_path});
-    }
-  }
-  coord.outstanding = tiles.size() - std::size_t(coord.total_commits);
-
-  // ---- Per-node fleets + initial shard ownership. ----
-  std::vector<std::unique_ptr<ClusterNode>> nodes;
-  std::vector<std::vector<std::size_t>> initial(std::size_t(cluster.nodes));
-  for (int k = 0; k < cluster.nodes; ++k) {
-    nodes.push_back(std::make_unique<ClusterNode>(k, cluster.nodes, config));
-    if (config.fault_injector != nullptr) {
-      nodes.back()->system().attach_fault_injector(config.fault_injector);
-    }
-    coord.events.push_back(
-        {RunEvent::Kind::kNodeJoined, -1, k,
-         std::to_string(config.devices) + " device(s), global ids " +
-             std::to_string(k * config.devices) + ".." +
-             std::to_string((k + 1) * config.devices - 1)});
-  }
-  struct DetachGuard {
-    std::vector<std::unique_ptr<ClusterNode>>& nodes;
-    ~DetachGuard() {
-      for (auto& node : nodes) node->system().attach_fault_injector(nullptr);
-    }
-  } detach_guard{nodes};
-  for (std::size_t t = 0; t < tiles.size(); ++t) {
-    if (coord.committed[t]) continue;
-    const int owner = tiles[t].device;  // node id from the assignment
-    coord.state[t].owner = owner;
-    coord.unstarted[std::size_t(owner)].insert(t);
-    initial[std::size_t(owner)].push_back(t);
-  }
-
-  // ---- Straggler monitor (opt-in with the watchdog, like in-node
-  // speculation).  Re-dispatches an overdue started tile to the recovery
-  // pool once; the claiming node races the owner, first commit wins. ----
-  std::atomic<bool> stop_monitor{false};
-  std::thread monitor;
-  if (config.resilience.watchdog && config.resilience.speculate &&
-      cluster.nodes > 1) {
-    monitor = std::thread([&coord, &config, &wall, &stop_monitor] {
-      const auto poll = std::chrono::duration<double, std::milli>(
-          config.resilience.watchdog_poll_ms);
-      while (!stop_monitor.load(std::memory_order_relaxed)) {
-        {
-          std::lock_guard lock(coord.mutex);
-          // Duplicate only once calibrated: the EWMA needs at least one
-          // cluster commit before "overdue" means anything.
-          if (coord.wall_ewma > 0.0) {
-            const double deadline = std::max(
-                coord.wall_ewma * config.resilience.watchdog_slack,
-                config.resilience.watchdog_min_deadline_ms / 1000.0);
-            const double now = wall.seconds();
-            for (std::size_t t = 0; t < coord.state.size(); ++t) {
-              TileState& ts = coord.state[t];
-              if (coord.committed[t] || !ts.started || ts.dup_issued ||
-                  ts.pooled || ts.dup_runner != -1) {
-                continue;
-              }
-              if (now - ts.start_seconds <= deadline) continue;
-              ts.dup_issued = true;
-              ts.pooled = true;
-              coord.pool.push_back(t);
-            }
-          }
-        }
-        std::this_thread::sleep_for(poll);
-      }
-    });
-  }
-
-  // ---- Run the shards, one thread per node.  Each thread releases its
-  // node's claims the moment the shard returns, so crash recovery
-  // overlaps the survivors' execution. ----
-  std::vector<mp::ShardOutcome> outcomes(std::size_t(cluster.nodes));
-  std::vector<std::thread> runners;
-  runners.reserve(std::size_t(cluster.nodes));
-  for (int k = 0; k < cluster.nodes; ++k) {
-    runners.emplace_back([&, k] {
-      ScopedEvent span(MetricsRegistry::global(),
-                       "node " + std::to_string(k), k, "node");
-      mp::ShardHooks hooks = make_hooks(coord, k, node_faults);
-      outcomes[std::size_t(k)] =
-          nodes[std::size_t(k)]->run(reference, query, tiles,
-                                     initial[std::size_t(k)], hooks,
-                                     &prefixes, fingerprint);
-      if (outcomes[std::size_t(k)].crashed) {
-        std::lock_guard lock(coord.mutex);
-        coord.crashes += 1;
-        CoordinatorMetrics::get().node_crashes.add();
-        coord.events.push_back(
-            {RunEvent::Kind::kNodeCrashed, -1, k,
-             outcomes[std::size_t(k)].crash_reason});
-      }
-      release_node(coord, k);
-    });
-  }
-  for (auto& runner : runners) runner.join();
-  stop_monitor.store(true, std::memory_order_relaxed);
-  if (monitor.joinable()) monitor.join();
-
-  // ---- Merge the shards' health reports. ----
-  bool any_interrupted = false;
-  for (int k = 0; k < cluster.nodes; ++k) {
-    mp::ShardOutcome& outcome = outcomes[std::size_t(k)];
-    any_interrupted = any_interrupted || outcome.interrupted;
-    mp::RunHealth& h = outcome.health;
-    health.retries += h.retries;
-    health.reassigned_tiles += h.reassigned_tiles;
-    health.blacklist_events += h.blacklist_events;
-    health.cpu_fallback_tiles += h.cpu_fallback_tiles;
-    health.checkpoint_writes += h.checkpoint_writes;
-    health.watchdog_fires += h.watchdog_fires;
-    health.speculative_wins += h.speculative_wins;
-    health.speculative_losses += h.speculative_losses;
-    health.tile_splits += h.tile_splits;
-    health.slice_commits += h.slice_commits;
-    for (auto& escalation : h.escalations) {
-      health.escalations.push_back(escalation);
-    }
-    for (auto& device : h.devices) health.devices.push_back(device);
-  }
-  {
-    std::lock_guard lock(coord.mutex);
-    health.node_crashes = coord.crashes;
-    health.node_steals = coord.steals;
-    health.node_duplicates = coord.duplicates;
-    for (RunEvent& event : coord.events) {
-      health.events.push_back(std::move(event));
-    }
-  }
-  for (int k = 0; k < cluster.nodes; ++k) {
-    for (RunEvent& event : outcomes[std::size_t(k)].health.events) {
-      health.events.push_back(std::move(event));
-    }
-  }
-
-  // ---- Interruption: flush the merged journal and unwind, exactly like
-  // the single-node scheduler. ----
-  const bool interrupted = coord.outstanding > 0 &&
-                           config.resilience.honor_shutdown &&
-                           (any_interrupted || shutdown_requested());
-  if (interrupted) {
-    if (config.checkpoint.enabled()) {
-      write_base_journal(coord, config, fingerprint, d, health.events);
-    }
-    std::string what = "run interrupted: " +
-                       std::to_string(coord.total_commits) + "/" +
-                       std::to_string(tiles.size()) + " tiles committed";
-    if (config.checkpoint.enabled()) {
-      what += "; checkpoint flushed to " + config.checkpoint.write_path +
-              " (resume with --resume=" + config.checkpoint.write_path + ")";
-    }
-    throw InterruptedError(what);
-  }
-
-  // ---- Last resort: every node is gone, finish on the CPU. ----
-  if (coord.outstanding > 0) {
-    if (!config.resilience.cpu_fallback) {
-      throw Error("all nodes failed and the CPU fallback is disabled (" +
-                  std::to_string(coord.outstanding) + " tiles incomplete)");
-    }
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-      if (coord.committed[t]) continue;
-      const Tile& tile = tiles[t];
-      {
-        ScopedEvent span(registry,
-                         "tile " + std::to_string(tile.id) + " cpu-fallback",
-                         -1, "cpu");
-        mp::compute_tile_on_cpu(reference, query, m, tile, config.exclusion,
-                                coord.results[t]);
-      }
-      coord.committed[t] = 1;
-      coord.result_valid[t] = 1;
-      coord.outstanding -= 1;
-      coord.total_commits += 1;
-      coord.executed_device[t] = -1;
-      coord.final_mode[t] = PrecisionMode::FP64;
-      health.cpu_fallback_tiles += 1;
-      CoordinatorMetrics::get().cpu_fallback_tiles.add();
-      health.events.push_back({RunEvent::Kind::kCpuFallback, tile.id, -1,
-                               "on the coordinator"});
-    }
-  }
-
-  // ---- Final merged journal + assembly. ----
-  if (config.checkpoint.enabled()) {
-    health.checkpoint_writes += 1;
-    health.events.push_back(
-        {RunEvent::Kind::kCheckpointWritten, -1, -1,
-         std::to_string(coord.total_commits) + "/" +
-             std::to_string(tiles.size()) + " tiles (merged) -> " +
-             config.checkpoint.write_path});
-    write_base_journal(coord, config, fingerprint, d, health.events);
-  }
-
-  mp::MatrixProfileResult out = mp::assemble_tile_results(
-      tiles, coord.results, coord.executed_device, n_q, d,
-      config.streams_per_device);
-  out.health = std::move(health);
-  if (config.fault_injector != nullptr) {
-    out.health.faults_injected = int(config.fault_injector->fault_count());
-  }
-  if (node_faults != nullptr) {
-    out.health.faults_injected += int(node_faults->fault_count());
-  }
-  out.health.degraded =
-      out.health.blacklist_events > 0 || out.health.cpu_fallback_tiles > 0 ||
-      out.health.retries > 0 || out.health.reassigned_tiles > 0 ||
-      out.health.watchdog_fires > 0 || out.health.tile_splits > 0 ||
-      out.health.node_crashes > 0;
-  out.wall_seconds = wall.seconds();
-  return out;
+  gpusim::System system(spec, cluster.nodes * config.devices, config.workers);
+  system.attach_fault_injector(config.fault_injector);
+  return mp::run_resilient(system, reference, query, config, domains);
 }
 
 }  // namespace mpsim::cluster

@@ -1,48 +1,34 @@
-// Elastic multi-node coordinator: shards the tile grid across N simulated
-// nodes and survives nodes joining, leaving, crashing and straggling —
-// with byte-identical output to the single-node run.
+// Elastic multi-node execution: the tile grid runs across N simulated
+// nodes that may crash, straggle or be stolen from — with byte-identical
+// output to the single-node run.
 //
-// Each node (cluster/node.hpp) is a full gpusim::System fleet running the
-// resilient scheduler as one *shard* (mp::run_resilient_shard): retries,
-// per-device blacklisting, the hang watchdog, in-node speculation and
-// row-slice journalling all work unchanged one level down.  The
-// coordinator owns the global tile grid and arbitrates through the
-// ShardHooks:
+// A node is a fault domain of the one resilient scheduler
+// (mp/resilient.hpp): the run builds a single gpusim::System of
+// nodes × config.devices devices, node k owning devices
+// [k*devices, (k+1)*devices), and mp::run_resilient supervises them with
+// one lock, one commit table, one watchdog and one CPU fallback.  The
+// node-level behaviours are domain-aware rules of that scheduler:
 //
-//  * shard ownership — tiles are statically assigned to nodes up front
-//    (round-robin or LPT over nodes, then the shard assigns to devices);
-//    a node's claim on an *unstarted* tile can be revoked at any time;
-//  * cross-node work stealing — an idle node takes an unstarted tile
-//    from the most-loaded live peer (--steal=off disables this, but not
-//    the recovery pool below);
-//  * node crash recovery — a node lost to an injected node_crash (or one
-//    that exits early with uncommitted work) has its tiles released into
-//    a recovery pool that every live node drains; if every node dies the
-//    coordinator finishes the remainder on the CPU reference path;
-//  * straggler re-execution — a coordinator monitor (gated on
-//    resilience.watchdog, like the in-node watchdog) tracks an EWMA of
-//    per-tile commit wall time and re-dispatches overdue started tiles to
-//    a second node; first commit wins, the loser is cancelled;
-//  * commit ordering — on_commit is the single serialization point: the
-//    first node to commit a tile copies its result into the coordinator's
-//    global arrays under the coordinator lock, every later finisher of
-//    the same tile is dropped (node.commit_conflicts).
-//
-// Durability: every node journals its own commits and row-slice
-// snapshots to `<write_path>.node<k>`; the coordinator writes the merged
-// *base* journal (complete tiles + the merged event history) at
-// interruption and completion.  Resume reads the base journal plus every
-// readable side journal and re-keys the slices onto the current grid
-// (mp::restore_from_journals), so a run killed at any point resumes onto
-// a different node count — or a different tile grid — bit-identically.
+//  * node crash — an injected node_crash offline-blacklists the node's
+//    devices and requeues its tiles onto the surviving nodes; if every
+//    node dies the remainder finishes on the CPU reference path;
+//  * cross-node stealing (--steal) — an idle device takes the newest
+//    queued tile of another node's longest queue, never its last one;
+//  * straggler re-execution — the watchdog's speculative backup (opt-in
+//    with resilience.watchdog) prefers a device on another node; first
+//    commit wins, the loser is cancelled (node.commit_conflicts);
+//  * durability — every node journals its own commits and row-slice
+//    snapshots to `<write_path>.node<k>`, and the whole-run journal is
+//    written at interruption and completion.  Resume reads all of them
+//    and re-keys the slices onto the current grid, so a run killed at
+//    any point resumes onto a different node count — or a different
+//    tile grid — bit-identically.
 //
 // Bit-identity argument: a tile's output bits depend only on its seed
 // origin and column range, never on which node/device computed it, how
 // often it was retried or duplicated, or how its rows were sliced for
-// journalling.  on_commit's first-wins arbitration keeps exactly one
-// result per tile, and the final column merge (assemble_tile_results)
-// consumes the tiles in grid order — so N nodes, M≠N-node resumes and
-// regridded resumes all reproduce the single-node bytes.
+// journalling.  First-commit-wins keeps exactly one result per tile, and
+// the final column merge consumes the tiles in grid order.
 #pragma once
 
 #include <string>
@@ -54,28 +40,27 @@ namespace mpsim::cluster {
 /// Knobs of the elastic multi-node run (the mpsim_cli --nodes /
 /// --node-faults / --steal surface).
 struct ElasticClusterConfig {
-  /// Simulated nodes.  1 (with no node faults) routes straight to the
-  /// single-node mp::compute_matrix_profile.  Capped at 64 — resume
-  /// probes that many per-node side journals.
+  /// Simulated nodes, each of config.devices devices.  Capped at 64 —
+  /// resume probes that many per-node side journals.
   int nodes = 1;
 
-  /// Cross-node stealing of unstarted tiles.  Off still leaves the
-  /// recovery pool active (crashed nodes' tiles are always re-dispatched).
+  /// Cross-node stealing of queued tiles.  Off still requeues a crashed
+  /// node's tiles onto the survivors.
   bool steal = true;
 
-  /// Fault spec for the coordinator-owned node-level injector
-  /// (gpusim::parse_fault_spec; node_crash / node_stall / node_slow fire
-  /// at the per-node kNodeTile site, "@device" selects the *node*).
-  /// Separate from config.fault_injector, which keeps addressing the
-  /// devices (by global index) across every node's fleet.
+  /// Fault spec for the node-level injector (gpusim::parse_fault_spec;
+  /// node_crash / node_stall / node_slow fire at the per-node kNodeTile
+  /// site, "@device" selects the *node*).  Separate from
+  /// config.fault_injector, which keeps addressing the devices (by global
+  /// index) across every node.
   std::string node_faults;
 };
 
 /// Computes the matrix profile across `cluster.nodes` simulated nodes.
 /// Output (profile/index bytes) is identical to the single-node run for
 /// every precision mode and row path.  Throws InterruptedError after
-/// flushing the merged journal when a shutdown request (or a
-/// kill_after_tiles / kill_after_slices chaos kill) stops the run early.
+/// flushing the journal when a shutdown request (or a kill_after_tiles /
+/// kill_after_slices chaos kill) stops the run early.
 mp::MatrixProfileResult compute_matrix_profile_elastic(
     const TimeSeries& reference, const TimeSeries& query,
     const mp::MatrixProfileConfig& config,

@@ -85,11 +85,11 @@ class CheckpointError : public Error {
   Reason reason_;
 };
 
-/// Raised when a whole simulated *node* (a device fleet running its own
-/// resilient scheduler) crashes via an injected `node_crash` fault.  The
-/// coordinator marks the node dead and re-shards its uncommitted tiles;
-/// within the node the error unwinds the shard without flushing its
-/// journal — exactly what a real process crash would leave behind.
+/// Raised when a whole simulated *node* (a fault domain of the resilient
+/// scheduler) crashes via an injected `node_crash` fault.  The scheduler
+/// takes every device of the node offline and requeues its uncommitted
+/// tiles onto the surviving nodes; the node's side journal is never
+/// written again — exactly what a real process crash would leave behind.
 class NodeFailedError : public Error {
  public:
   explicit NodeFailedError(const std::string& what) : Error(what) {}

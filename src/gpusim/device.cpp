@@ -34,7 +34,7 @@ void Device::fault_point(FaultSite site, const std::string& detail,
 }
 
 System::System(const MachineSpec& device_spec, int device_count,
-               std::size_t total_workers, int index_base) {
+               std::size_t total_workers) {
   MPSIM_CHECK(device_count >= 1, "a system needs at least one device");
   if (total_workers == 0) {
     total_workers =
@@ -45,7 +45,7 @@ System::System(const MachineSpec& device_spec, int device_count,
   devices_.reserve(std::size_t(device_count));
   for (int i = 0; i < device_count; ++i) {
     devices_.push_back(
-        std::make_unique<Device>(device_spec, index_base + i, per_device));
+        std::make_unique<Device>(device_spec, i, per_device));
   }
 }
 

@@ -125,12 +125,8 @@ class DeviceBuffer {
 /// with 4 A100s).  Owns the devices; worker threads are divided evenly.
 class System {
  public:
-  /// `index_base` offsets the devices' global indices: node k of a
-  /// multi-node cluster builds its fleet with base k*devices so device
-  /// ids (in traces, health reports, checkpoint journals) are globally
-  /// unique.  System::device(i) stays positional (0-based) either way.
   System(const MachineSpec& device_spec, int device_count,
-         std::size_t total_workers = 0, int index_base = 0);
+         std::size_t total_workers = 0);
 
   int device_count() const { return int(devices_.size()); }
   Device& device(int i) { return *devices_.at(std::size_t(i)); }

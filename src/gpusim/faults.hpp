@@ -39,7 +39,7 @@
 //   --faults=seed=7,kernel@0:at=5,offline@1:at=12,nan@0:at=1:frac=0.05
 //   --faults=hang@0:at=3:ms=60000,slow@1:p=0.01:ms=50
 //
-// The node_* kinds fire at the coordinator's per-node kNodeTile site (the
+// The node_* kinds fire at the scheduler's per-node kNodeTile site (the
 // "@device" selector addresses a *node* there): node_crash throws
 // NodeFailedError and takes the whole simulated node down, node_stall
 // and node_slow stall the node's tile start in the same cancellable

@@ -167,6 +167,28 @@ gpusim::Timeline model_timeline(const ModelConfig& config) {
   return timeline;
 }
 
+ClusterModelReport model_cluster(const ModelConfig& config, int nodes,
+                                 const InterconnectSpec& interconnect) {
+  ModelConfig fleet = config;
+  fleet.devices = nodes * config.devices;
+  const ModelReport report = model_matrix_profile(fleet);
+
+  int rounds = 0;  // binomial-tree reduction over `nodes` ranks
+  while ((1 << rounds) < nodes) ++rounds;
+  // One message carries the full profile (binary64 after D2H) and index.
+  const double bytes = double(config.n_q * config.dims) * (8 + 8);
+
+  ClusterModelReport out;
+  out.compute_seconds = report.device_seconds;
+  out.merge_seconds = report.merge_seconds / double(nodes) +
+                      double(rounds) *
+                          model_merge_seconds(1, config.n_q, config.dims);
+  out.network_seconds =
+      double(rounds) * (interconnect.latency_us * 1e-6 +
+                        bytes / (interconnect.bandwidth_gbs * 1e9));
+  return out;
+}
+
 double model_tile_seconds(const gpusim::MachineSpec& spec, const Tile& tile,
                           std::size_t dims, std::size_t window,
                           PrecisionMode mode) {

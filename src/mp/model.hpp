@@ -54,6 +54,31 @@ gpusim::Timeline model_timeline(const ModelConfig& config);
 double model_merge_seconds(std::size_t tile_count,
                            std::size_t q_count_per_tile, std::size_t dims);
 
+/// Inter-node network characteristics (defaults: 200 Gb/s-class HDR
+/// InfiniBand with a few microseconds of latency).
+struct InterconnectSpec {
+  double bandwidth_gbs = 25.0;  ///< usable GB/s per link
+  double latency_us = 2.0;      ///< per message
+};
+
+struct ClusterModelReport {
+  double compute_seconds = 0;  ///< slowest device's makespan
+  double merge_seconds = 0;    ///< local + reduction-round merges
+  double network_seconds = 0;  ///< binomial-tree profile reduction
+  double total_seconds() const {
+    return compute_seconds + merge_seconds + network_seconds;
+  }
+};
+
+/// Analytic model of the paper's multi-node extension (§VII): the run of
+/// `config` spread over `nodes` nodes of `config.devices` devices each.
+/// Compute is the roofline makespan over the whole fleet; the tile merges
+/// spread across the nodes, and a binomial-tree reduction of the
+/// (n_q * d)-entry profile/index arrays adds ceil(log2 nodes) rounds of
+/// latency + bytes/bandwidth plus one CPU merge per round.
+ClusterModelReport model_cluster(const ModelConfig& config, int nodes,
+                                 const InterconnectSpec& interconnect = {});
+
 struct Tile;
 
 /// Modelled device seconds (kernels + copies) of one tile — the same

@@ -279,7 +279,7 @@ struct RunEvent {
     kResumeFallback,    ///< --resume journal unusable; fresh run instead
     kSliceRestored,     ///< tile seeded from a journalled row-slice prefix
     kSliceDiscarded,    ///< journalled slice unusable on the current grid
-    kNodeJoined,        ///< node's shard scheduler came up (device = node)
+    kNodeJoined,        ///< node's fault domain came up (device = node)
     kNodeCrashed,       ///< node lost to an injected crash (device = node)
     kNodeStolen,        ///< tile stolen across nodes (device = thief node)
     kNodeDuplicated,    ///< straggler tile re-dispatched to another node

@@ -1,11 +1,12 @@
 #include "mp/resilient.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "mp/cpu_reference.hpp"
 #include "mp/model.hpp"
 #include "mp/single_tile.hpp"
+#include "mp/staging.hpp"
 #include "mp/tile_merge.hpp"
 #include "mp/tile_plan.hpp"
 
@@ -103,6 +105,33 @@ struct SchedulerMetrics {
   }
 };
 
+/// Node-level instruments of a multi-node run (all zero in single-node
+/// runs, which never touch them); the names are part of the metrics
+/// schema that check_perf.sh and the benchmark read.
+struct CoordinatorMetrics {
+  Counter& tiles_dispatched;   ///< jobs a node took up (backups excluded)
+  Counter& steals;             ///< cross-domain steals of queued jobs
+  Counter& duplicates;         ///< straggler backups placed cross-domain
+  Counter& node_crashes;       ///< domains lost to NodeFailedError
+  Counter& cpu_fallback_tiles; ///< tiles finished on the CPU fallback
+  Counter& node_commits;       ///< winning commits
+  Counter& node_commit_conflicts;  ///< commits lost to another domain
+  Gauge& nodes;                ///< domain count of the current run
+
+  static CoordinatorMetrics& get() {
+    auto& reg = MetricsRegistry::global();
+    static CoordinatorMetrics m{reg.counter("coordinator.tiles_dispatched"),
+                                reg.counter("coordinator.steals"),
+                                reg.counter("coordinator.duplicates"),
+                                reg.counter("coordinator.node_crashes"),
+                                reg.counter("coordinator.cpu_fallback_tiles"),
+                                reg.counter("node.commits"),
+                                reg.counter("node.commit_conflicts"),
+                                reg.gauge("coordinator.nodes")};
+    return m;
+  }
+};
+
 /// One in-flight attempt, visible to the watchdog monitor.  The token is
 /// owned by the executing worker's stack frame; the record is erased
 /// before that frame unwinds, so the pointer cannot dangle.
@@ -139,15 +168,14 @@ struct SchedulerState {
   bool interrupted = false;       ///< shutdown observed; run is unwinding
   bool stop_monitor = false;
   std::size_t total_commits = 0;
-  std::size_t commits_since_checkpoint = 0;
-  std::mutex checkpoint_mutex;    ///< serialises journal writes (I/O only)
-
-  // ---- Row-slice durability + shard-mode bookkeeping. ----
   std::vector<CheckpointSlice> partials;  ///< per tile: best snapshot so far
-  std::vector<char> result_valid;  ///< per tile: results[t] holds OUR result
   std::size_t slice_commits_total = 0;
-  bool shard_failed = false;       ///< NodeFailedError: shard is going down
-  std::string shard_fail_reason;
+
+  // ---- Fault domains (one entry per node). ----
+  std::vector<char> domain_down;        ///< node crashed; journal frozen
+  std::vector<int> domain_workers;      ///< live workers (lifecycle span)
+  std::vector<std::size_t> commits_since_checkpoint;
+  std::unique_ptr<std::mutex[]> journal_io;  ///< serialises journal I/O
 };
 
 void log_event(SchedulerState& st, RunEvent event) {
@@ -222,14 +250,20 @@ struct RunContext {
   const Stopwatch* clock = nullptr;   ///< run clock (watchdog time base)
   std::uint64_t fingerprint = 0;      ///< checkpoint identity of this run
   std::size_t dims = 0;               ///< d (journalled with every slice)
-
-  // ---- Shard mode (multi-node coordinator present). ----
-  const ShardHooks* hooks = nullptr;  ///< nullptr = classic single-node run
-  int node_id = -1;                   ///< journalled with every slice
-  int device_base = 0;                ///< local dev -> global device index
   /// Per-tile restored row-slice prefixes (r_count == 0 = none); attempts
   /// at the prefix's mode resume from its last journalled row.
   const std::vector<CheckpointSlice>* prefixes = nullptr;
+
+  // ---- Fault domains. ----
+  FaultDomains domains;
+  int domain_devices = 1;   ///< devices per node
+  bool multi_node = false;  ///< node-level accounting, spans and journals
+
+  int domain_of(int dev) const { return dev / domain_devices; }
+  /// The node id journalled with a slice (-1 = single-node run).
+  int journal_node(int dev) const {
+    return multi_node && dev >= 0 ? domain_of(dev) : -1;
+  }
 };
 
 /// Runs one attempt of a tile on `dev` as a single stream task and
@@ -250,53 +284,19 @@ void execute_attempt(const RunContext& ctx, int dev, PrecisionMode mode,
   stream.synchronize();
 }
 
-/// Column-wise min/argmin fold of (src_profile, src_index) into the dst
-/// arrays — the same lexicographic tie rule as merge_sub_tiles and
-/// merge_tile_results (smaller distance wins; on equal distance the
-/// smaller non-negative index wins; NaN never displaces).  Folding a
-/// journalled row-slice prefix into the tail rows' attempt with this rule
-/// reproduces the uninterrupted run's bits because the rule is exactly
-/// the per-row profile update's and is associative.
-void min_merge_into(std::vector<double>& dst_profile,
-                    std::vector<std::int64_t>& dst_index,
-                    const std::vector<double>& src_profile,
-                    const std::vector<std::int64_t>& src_index) {
-  for (std::size_t e = 0; e < dst_profile.size(); ++e) {
-    const double p = src_profile[e];
-    const std::int64_t idx = src_index[e];
-    if (p < dst_profile[e] ||
-        (p == dst_profile[e] && idx >= 0 &&
-         (dst_index[e] < 0 || idx < dst_index[e]))) {
-      dst_profile[e] = p;
-      dst_index[e] = idx;
-    }
-  }
-}
-
 /// Column-wise min/argmin merge of row sub-tiles into their parent tile's
 /// result slot.  The sub-tiles cover disjoint reference rows of the same
-/// query columns, so entries align 1:1; the tie rule is exactly
-/// merge_tile_results' (smaller distance wins; on equal distance the
-/// smaller non-negative index wins; NaN never displaces), and because the
-/// rule is a lexicographic min it is associative — merging sub-tiles here
-/// and then tiles at run level is bit-identical to merging the sub-tiles
-/// as planner tiles directly.
+/// query columns, so entries align 1:1; merge_min_span's rule is
+/// associative, so merging sub-tiles here and then tiles at run level is
+/// bit-identical to merging the sub-tiles as planner tiles directly.
 void merge_sub_tiles(const TileResult& left, const TileResult& right,
                      TileResult& out) {
   const std::size_t entries = left.profile.size();
   out.profile.assign(entries, std::numeric_limits<double>::infinity());
   out.index.assign(entries, -1);
   for (const TileResult* sub : {&left, &right}) {
-    for (std::size_t e = 0; e < entries; ++e) {
-      const double p = sub->profile[e];
-      const std::int64_t idx = sub->index[e];
-      if (p < out.profile[e] ||
-          (p == out.profile[e] && idx >= 0 &&
-           (out.index[e] < 0 || idx < out.index[e]))) {
-        out.profile[e] = p;
-        out.index[e] = idx;
-      }
-    }
+    merge_min_span(sub->profile.data(), sub->index.data(), out.profile.data(),
+                   out.index.data(), entries);
   }
   out.ledger.reset();
   out.ledger.merge_from(left.ledger);
@@ -349,31 +349,41 @@ void execute_with_split(const RunContext& ctx, SchedulerState& st, int dev,
   }
 }
 
-/// Snapshot of every committed tile (as a complete row slice) plus the
-/// best partial row-slice of every in-flight tile + the event history,
-/// written as an mpsim-ckpt-v3 journal.  The copy is taken under the
-/// scheduler lock; the file I/O runs outside it (serialised by
-/// checkpoint_mutex so concurrent committers cannot interleave temp
-/// files).  In shard mode only tiles this node committed are journalled
-/// (result_valid); the coordinator's base journal covers the rest.
-void write_checkpoint_now(const RunContext& ctx, SchedulerState& st) {
-  const std::string& path = ctx.config->checkpoint.write_path;
-  if (path.empty()) return;
-  std::lock_guard io(st.checkpoint_mutex);
+/// The journal writer, parameterised by fault domain.  `domain` < 0
+/// writes the whole-run journal to write_path: every committed tile as a
+/// complete slice, the best partial row-slice of every in-flight tile and
+/// the event history.  Domain k of a multi-node run writes only the
+/// tiles its devices committed and the slices they journalled to
+/// `<write_path>.node<k>` (restore merges them back); a crashed domain's
+/// file is never written again.  With one domain its journal is the
+/// whole-run journal.  The copy is taken under the scheduler lock; the
+/// file I/O runs outside it, serialised per domain.
+void write_journal(const RunContext& ctx, SchedulerState& st, int domain) {
+  const std::string& base = ctx.config->checkpoint.write_path;
+  if (base.empty()) return;
+  if (ctx.domains.nodes == 1) domain = -1;
+  const std::string path =
+      domain < 0 ? base : base + ".node" + std::to_string(domain);
+  std::lock_guard io(st.journal_io[std::size_t(std::max(domain, 0))]);
   CheckpointData data;
   data.fingerprint = ctx.fingerprint;
   data.tile_count = ctx.tiles->size();
   std::size_t complete = 0;
   {
     std::lock_guard lock(st.mutex);
+    if (domain >= 0 && st.domain_down[std::size_t(domain)] != 0) return;
     for (std::size_t t = 0; t < ctx.tiles->size(); ++t) {
       const Tile& tile = (*ctx.tiles)[t];
-      if (st.committed[t] && st.result_valid[t] != 0) {
+      if (st.committed[t]) {
+        const int dev = (*ctx.executed_device)[t];
+        if (domain >= 0 && (dev < 0 || ctx.domain_of(dev) != domain)) {
+          continue;
+        }
         CheckpointSlice entry;
         entry.tile_index = t;
         entry.tile_id = std::int32_t(tile.id);
-        entry.device = std::int32_t((*ctx.executed_device)[t]);
-        entry.node = std::int32_t(ctx.node_id);
+        entry.device = std::int32_t(dev);
+        entry.node = std::int32_t(ctx.journal_node(dev));
         entry.complete = 1;
         entry.mode = (*ctx.final_mode)[t];
         entry.r_begin = tile.r_begin;
@@ -386,12 +396,13 @@ void write_checkpoint_now(const RunContext& ctx, SchedulerState& st) {
         entry.prefilter = (*ctx.results)[t].prefilter;
         data.slices.push_back(std::move(entry));
         complete += 1;
-      } else if (!st.committed[t] && st.partials[t].r_count > 0) {
+      } else if (st.partials[t].r_count > 0 &&
+                 (domain < 0 || st.partials[t].node == domain)) {
         data.slices.push_back(st.partials[t]);
       }
     }
-    data.events = st.health.events;
-    st.commits_since_checkpoint = 0;
+    if (domain < 0) data.events = st.health.events;
+    st.commits_since_checkpoint[std::size_t(std::max(domain, 0))] = 0;
   }
   write_checkpoint(path, data);
   {
@@ -409,9 +420,10 @@ void write_checkpoint_now(const RunContext& ctx, SchedulerState& st) {
 /// SliceProgress::on_slice sink: records the snapshot of rows
 /// [0, rows_done) of tile `t` as its journalled partial slice (keeping
 /// the furthest snapshot when concurrent attempts race), flushes the
-/// journal, and honours the kill_after_slices chaos hook.  `prefix`
-/// (optional) is the restored row prefix this attempt resumed from; its
-/// rows are folded in so the stored slice always covers rows from 0.
+/// journal of the executing device's domain, and honours the
+/// kill_after_slices chaos hook.  `prefix` (optional) is the restored row
+/// prefix this attempt resumed from; its rows are folded in so the stored
+/// slice always covers rows from 0.
 void note_slice_snapshot(const RunContext& ctx, SchedulerState& st,
                          std::size_t t, int dev,
                          const CheckpointSlice* prefix,
@@ -419,7 +431,8 @@ void note_slice_snapshot(const RunContext& ctx, SchedulerState& st,
                          std::vector<std::int64_t> index) {
   const Tile& tile = (*ctx.tiles)[t];
   if (prefix != nullptr) {
-    min_merge_into(profile, index, prefix->profile, prefix->index);
+    merge_min_span(prefix->profile.data(), prefix->index.data(),
+                   profile.data(), index.data(), profile.size());
   }
   bool kill_due = false;
   {
@@ -429,8 +442,8 @@ void note_slice_snapshot(const RunContext& ctx, SchedulerState& st,
     if (slot.r_count >= rows_done) return;  // a racing attempt got further
     slot.tile_index = t;
     slot.tile_id = std::int32_t(tile.id);
-    slot.device = std::int32_t(ctx.device_base + dev);
-    slot.node = std::int32_t(ctx.node_id);
+    slot.device = std::int32_t(dev);
+    slot.node = std::int32_t(ctx.journal_node(dev));
     slot.complete = 0;
     slot.mode = ctx.config->mode;
     slot.r_begin = tile.r_begin;
@@ -448,15 +461,119 @@ void note_slice_snapshot(const RunContext& ctx, SchedulerState& st,
         st.slice_commits_total ==
             std::size_t(ctx.config->checkpoint.kill_after_slices);
   }
-  write_checkpoint_now(ctx, st);
+  write_journal(ctx, st, ctx.domain_of(dev));
   if (kill_due) request_shutdown();
+}
+
+/// Takes fault domain `k` down after a node crash: every device of the
+/// domain is offline-blacklisted, its in-flight attempts are cancelled
+/// (their workers requeue them on the way out) and its queued jobs are
+/// requeued onto the surviving domains — or the CPU fallback when none
+/// survive.  Caller holds the lock.
+void crash_domain_locked(const RunContext& ctx, SchedulerState& st, int k,
+                         const std::string& why) {
+  if (st.domain_down[std::size_t(k)] != 0) return;
+  st.domain_down[std::size_t(k)] = 1;
+  st.health.node_crashes += 1;
+  CoordinatorMetrics::get().node_crashes.add();
+  log_event(st, {RunEvent::Kind::kNodeCrashed, -1, k, why});
+  const int first = k * ctx.domain_devices;
+  for (int dev = first; dev < first + ctx.domain_devices; ++dev) {
+    if (st.blacklisted[std::size_t(dev)] == 0) {
+      blacklist_locked(st, dev, /*offline=*/true,
+                       "node " + std::to_string(k) + " crashed");
+    }
+    for (auto& [id, attempt] : st.inflight) {
+      if (attempt.device == dev) attempt.token->cancel();
+    }
+    std::deque<TileJob> orphans = std::move(st.queues[std::size_t(dev)]);
+    st.queues[std::size_t(dev)].clear();
+    for (TileJob& job : orphans) {
+      const int tile_id = (*ctx.tiles)[job.index].id;
+      requeue_locked(st, std::move(job), tile_id);
+    }
+  }
+}
+
+/// Pops the next job for `dev`: its own queue first, then the orphans of
+/// blacklisted devices, then — with stealing on — the newest job of the
+/// longest queue in another live domain (never a domain's last queued
+/// job, so a domain always starts at least one of its own tiles).  Jobs
+/// whose tile committed while queued are dropped on the way.  Caller
+/// holds the lock.
+bool take_job_locked(const RunContext& ctx, SchedulerState& st, int dev,
+                     TileJob& job) {
+  const int domain = ctx.domain_of(dev);
+  for (;;) {
+    std::deque<TileJob>* from = &st.queues[std::size_t(dev)];
+    bool orphan = false;
+    int victim = -1;
+    if (from->empty()) {
+      from = nullptr;
+      for (int other = 0; other < int(st.queues.size()); ++other) {
+        if (st.blacklisted[std::size_t(other)] != 0 &&
+            !st.queues[std::size_t(other)].empty()) {
+          from = &st.queues[std::size_t(other)];
+          orphan = true;
+          break;
+        }
+      }
+    }
+    if (from == nullptr && ctx.domains.steal && ctx.domains.nodes > 1) {
+      std::vector<std::size_t> queued(std::size_t(ctx.domains.nodes), 0);
+      for (int other = 0; other < int(st.queues.size()); ++other) {
+        queued[std::size_t(ctx.domain_of(other))] +=
+            st.queues[std::size_t(other)].size();
+      }
+      std::size_t best = 0;
+      for (int other = 0; other < int(st.queues.size()); ++other) {
+        const int k = ctx.domain_of(other);
+        const std::size_t depth = st.queues[std::size_t(other)].size();
+        if (k == domain || st.blacklisted[std::size_t(other)] != 0 ||
+            queued[std::size_t(k)] < 2 || depth <= best) {
+          continue;
+        }
+        best = depth;
+        victim = other;
+      }
+      if (victim >= 0) from = &st.queues[std::size_t(victim)];
+    }
+    if (from == nullptr) return false;
+    if (victim >= 0) {
+      job = std::move(from->back());
+      from->pop_back();
+    } else {
+      job = std::move(from->front());
+      from->pop_front();
+    }
+    if (st.committed[job.index]) {
+      if (job.speculative) st.backups_inflight[job.index] -= 1;
+      continue;  // stale: committed while it sat in a queue
+    }
+    const int tile_id = (*ctx.tiles)[job.index].id;
+    if (orphan) {
+      st.health.reassigned_tiles += 1;
+      SchedulerMetrics::get().reassigned.add();
+      log_event(st, {RunEvent::Kind::kStolen, tile_id, dev, ""});
+    } else if (victim >= 0) {
+      st.health.node_steals += 1;
+      CoordinatorMetrics::get().steals.add();
+      log_event(st, {RunEvent::Kind::kNodeStolen, tile_id, domain,
+                     "from node " + std::to_string(ctx.domain_of(victim))});
+    }
+    if (ctx.multi_node && !job.speculative) {
+      CoordinatorMetrics::get().tiles_dispatched.add();
+    }
+    return true;
+  }
 }
 
 /// Watchdog + shutdown monitor.  Wakes every watchdog_poll_ms: propagates
 /// a requested shutdown to every in-flight attempt (cancel + unwind), and
 /// — when the watchdog is enabled — flags attempts that overran their
-/// deadline, launches speculative backups on other healthy devices, and
-/// blacklists devices that keep hanging.
+/// deadline, launches speculative backups on other healthy devices
+/// (preferring another domain, so a straggling node is duplicated onto a
+/// different one), and blacklists devices that keep hanging.
 void monitor_thread(const RunContext& ctx, SchedulerState& st) {
   const ResilienceConfig& rc = ctx.config->resilience;
   const auto poll = std::chrono::duration<double, std::milli>(
@@ -474,25 +591,6 @@ void monitor_thread(const RunContext& ctx, SchedulerState& st) {
                          " tiles committed"});
       for (auto& [id, attempt] : st.inflight) attempt.token->cancel();
       st.cv.notify_all();
-    }
-
-    // Shard mode: withdraw local attempts of tiles another node already
-    // committed (the cross-node analogue of the commit block's
-    // first-finisher-wins cancellation).  Runs with or without the
-    // watchdog — it is a liveness mechanism, not a performance one.
-    if (ctx.hooks != nullptr && ctx.hooks->committed_elsewhere) {
-      bool swept = false;
-      for (auto& [id, attempt] : st.inflight) {
-        const std::size_t t = attempt.job_index;
-        if (!st.committed[t]) {
-          if (!ctx.hooks->committed_elsewhere(t)) continue;
-          st.committed[t] = 1;
-          st.outstanding -= 1;
-        }
-        attempt.token->cancel();
-        swept = true;
-      }
-      if (swept) st.cv.notify_all();
     }
     if (!rc.watchdog || st.interrupted) continue;
     if (st.wall_per_modeled <= 0.0) continue;  // no calibration yet
@@ -539,20 +637,26 @@ void monitor_thread(const RunContext& ctx, SchedulerState& st) {
       }
 
       // Speculative re-execution: one backup per tile at a time, on the
-      // least-loaded healthy device that is not the overdue one.  With no
-      // such device the overdue attempt is cancelled instead, turning the
-      // hang into an ordinary retry on whatever device remains.
+      // least-loaded healthy device that is not the overdue one, in
+      // another domain when one is healthy.  With no such device the
+      // overdue attempt is cancelled instead, turning the hang into an
+      // ordinary retry on whatever device remains.
       if (rc.speculate && st.committed[attempt.job_index] == 0 &&
           st.backups_inflight[attempt.job_index] == 0) {
+        const int home = ctx.domain_of(attempt.device);
         int target = -1;
         std::size_t best = 0;
+        bool best_remote = false;
         for (int dev = 0; dev < int(st.queues.size()); ++dev) {
           if (dev == attempt.device) continue;
           if (st.blacklisted[std::size_t(dev)] != 0) continue;
+          const bool remote = ctx.domain_of(dev) != home;
           const std::size_t depth = st.queues[std::size_t(dev)].size();
-          if (target < 0 || depth < best) {
+          if (target < 0 || (remote && !best_remote) ||
+              (remote == best_remote && depth < best)) {
             target = dev;
             best = depth;
+            best_remote = remote;
           }
         }
         if (target >= 0) {
@@ -566,6 +670,14 @@ void monitor_thread(const RunContext& ctx, SchedulerState& st) {
                          target,
                          "backup of the attempt on device " +
                              std::to_string(attempt.device)});
+          if (best_remote) {
+            st.health.node_duplicates += 1;
+            CoordinatorMetrics::get().duplicates.add();
+            log_event(st, {RunEvent::Kind::kNodeDuplicated, attempt.tile_id,
+                           ctx.domain_of(target),
+                           "owner node " + std::to_string(home) +
+                               " overdue"});
+          }
         } else if (!drop) {
           attempt.token->cancel();
         }
@@ -575,112 +687,28 @@ void monitor_thread(const RunContext& ctx, SchedulerState& st) {
   }
 }
 
-/// Per-device supervisor: pulls tiles from its own queue (or steals
-/// orphans from blacklisted devices' queues), retries transient faults
-/// with exponential backoff, escalates numerically poisoned tiles, and
-/// exits when blacklisted, interrupted, or when no work can remain.
+/// Per-device supervisor: pulls tiles (take_job_locked), retries
+/// transient faults with exponential backoff, escalates numerically
+/// poisoned tiles, and exits when blacklisted, interrupted, or when no
+/// work can remain.
 void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
   const ResilienceConfig& rc = ctx.config->resilience;
+  const int domain = ctx.domain_of(dev);
   gpusim::CancellationToken token;
   for (;;) {
     TileJob job;
-    bool stolen = false;
     {
       std::unique_lock lock(st.mutex);
-      if (ctx.hooks == nullptr) {
-        st.cv.wait(lock, [&] {
-          if (st.blacklisted[std::size_t(dev)] != 0) return true;
-          if (st.outstanding == 0 || st.interrupted) return true;
-          if (!st.queues[std::size_t(dev)].empty()) return true;
-          for (int other = 0; other < int(st.queues.size()); ++other) {
-            if (st.blacklisted[std::size_t(other)] != 0 &&
-                !st.queues[std::size_t(other)].empty()) {
-              return true;
-            }
-          }
-          return false;
-        });
-        if (st.blacklisted[std::size_t(dev)] != 0 || st.outstanding == 0 ||
-            st.interrupted) {
-          return;
-        }
-      } else {
-        // Elastic shard wait: an empty local backlog is not the end —
-        // tiles may still arrive from the coordinator (released by a
-        // crashed node, duplicated from a straggler, stolen from a
-        // loaded peer), so idle workers poll acquire_more() and only
-        // exit once every tile is committed globally (all_done).
-        for (;;) {
-          if (st.blacklisted[std::size_t(dev)] != 0 || st.interrupted) {
-            return;
-          }
-          if (!st.queues[std::size_t(dev)].empty()) break;
-          bool orphan = false;
-          for (int other = 0; other < int(st.queues.size()); ++other) {
-            if (st.blacklisted[std::size_t(other)] != 0 &&
-                !st.queues[std::size_t(other)].empty()) {
-              orphan = true;
-              break;
-            }
-          }
-          if (orphan) break;
-          if (ctx.hooks->all_done && ctx.hooks->all_done()) return;
-          if (ctx.hooks->acquire_more) {
-            if (std::optional<std::size_t> extra = ctx.hooks->acquire_more()) {
-              TileJob fetched;
-              fetched.index = *extra;
-              fetched.mode = ctx.config->mode;
-              // The coordinator only hands out globally uncommitted
-              // tiles, so a local committed marker here is a stale
-              // revoked-claim tombstone (should_run said no earlier) —
-              // clear it or the fetched job would be silently dropped.
-              st.committed[*extra] = 0;
-              st.queues[std::size_t(dev)].push_back(std::move(fetched));
-              st.outstanding += 1;
-              continue;
-            }
-          }
-          st.cv.wait_for(lock, std::chrono::milliseconds(25));
-        }
-      }
-      if (!st.queues[std::size_t(dev)].empty()) {
-        job = std::move(st.queues[std::size_t(dev)].front());
-        st.queues[std::size_t(dev)].pop_front();
-      } else {
-        for (int other = 0; other < int(st.queues.size()); ++other) {
-          if (st.blacklisted[std::size_t(other)] != 0 &&
-              !st.queues[std::size_t(other)].empty()) {
-            job = std::move(st.queues[std::size_t(other)].front());
-            st.queues[std::size_t(other)].pop_front();
-            stolen = true;
-            break;
-          }
-        }
-      }
-      // Stale work: the tile was committed (by a primary or a backup)
-      // while this job sat in a queue.
-      if (st.committed[job.index]) {
-        if (job.speculative) st.backups_inflight[job.index] -= 1;
-        continue;
-      }
-      // Shard mode: the coordinator gets the final say — the tile may
-      // have committed on another node (or this node's duplicate claim
-      // lapsed) while the job sat queued here.
-      if (ctx.hooks != nullptr && ctx.hooks->should_run &&
-          !ctx.hooks->should_run(job.index)) {
-        if (job.speculative) st.backups_inflight[job.index] -= 1;
-        st.committed[job.index] = 1;
-        st.outstanding -= 1;
-        continue;
-      }
+      bool taken = false;
+      st.cv.wait(lock, [&] {
+        if (st.blacklisted[std::size_t(dev)] != 0) return true;
+        if (st.outstanding == 0 || st.interrupted) return true;
+        taken = take_job_locked(ctx, st, dev, job);
+        return taken;
+      });
+      if (!taken) return;
     }
     const Tile& tile = (*ctx.tiles)[job.index];
-    if (stolen) {
-      std::lock_guard lock(st.mutex);
-      st.health.reassigned_tiles += 1;
-      SchedulerMetrics::get().reassigned.add();
-      log_event(st, {RunEvent::Kind::kStolen, tile.id, dev, ""});
-    }
 
     // ---- Attempt loop: retries and precision escalations. ----
     bool announced = false;  ///< node-fault hook fired for this popped job
@@ -700,11 +728,10 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
       // whole tile); snapshots are only emitted at the run's base mode
       // (an escalated tile's partial state would not be restorable) and
       // never under the sketch prefilter (the engine refuses anyway).
-      const CheckpointSlice* prefix = nullptr;
-      if (ctx.prefixes != nullptr) {
-        const CheckpointSlice& p = (*ctx.prefixes)[job.index];
-        if (p.r_count > 0 && p.mode == job.mode) prefix = &p;
-      }
+      const CheckpointSlice& restored = (*ctx.prefixes)[job.index];
+      const CheckpointSlice* prefix =
+          restored.r_count > 0 && restored.mode == job.mode ? &restored
+                                                            : nullptr;
       const bool journal_slices =
           ctx.config->checkpoint.enabled() &&
           ctx.config->checkpoint.slice_rows > 0 &&
@@ -752,29 +779,25 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
                              (job.speculative ? " speculative" : ""),
                          dev, "tile", &SchedulerMetrics::get().tile_seconds);
         SchedulerMetrics::get().attempts.add();
-        // Node-level fault hook, once per popped job, registered in
+        // Node-level fault site, once per popped job, registered in
         // inflight first so an injected node stall stays cancellable
-        // (watchdog, cross-node commit sweep, shutdown).
-        if (!announced && ctx.hooks != nullptr && ctx.hooks->on_tile_start) {
+        // (watchdog, first-finisher commit, shutdown).
+        if (!announced && ctx.domains.injector != nullptr) {
           announced = true;
-          ctx.hooks->on_tile_start(job.index, &token);
+          ctx.domains.injector->fire(gpusim::FaultSite::kNodeTile, domain,
+                                     "tile " + std::to_string(tile.id),
+                                     &token);
         }
         execute_with_split(ctx, st, dev, job.mode, tile, attempt, &token, 0,
                            slice_ptr);
       } catch (const NodeFailedError& e) {
-        // The simulated *node* is gone: unwind the whole shard.  Every
-        // sibling attempt is cancelled; the journal is deliberately NOT
-        // flushed (a crashed node does not get a last orderly write).
+        // The simulated node is gone: its whole domain goes down with it.
         std::lock_guard lock(st.mutex);
         st.inflight.erase(attempt_id);
-        if (!st.shard_failed) {
-          st.shard_failed = true;
-          st.shard_fail_reason = e.what();
-          st.interrupted = true;
-          for (auto& [other_id, other] : st.inflight) other.token->cancel();
-        }
+        crash_domain_locked(ctx, st, domain, e.what());
+        requeue_locked(st, std::move(job), tile.id);
         st.cv.notify_all();
-        return;
+        return;  // this worker is done for good
       } catch (const CancelledError&) {
         // Not a fault: the scheduler itself withdrew this attempt.
         std::lock_guard lock(st.mutex);
@@ -788,15 +811,6 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
                       {RunEvent::Kind::kSpeculationLost, tile.id, dev, ""});
           }
           break;  // tile done elsewhere; fetch the next job
-        }
-        if (ctx.hooks != nullptr && ctx.hooks->committed_elsewhere &&
-            ctx.hooks->committed_elsewhere(job.index)) {
-          // Cancelled because another *node* committed the tile (the
-          // monitor sweep may not have marked it locally yet).
-          st.committed[job.index] = 1;
-          st.outstanding -= 1;
-          if (job.speculative) st.backups_inflight[job.index] -= 1;
-          break;
         }
         if (st.interrupted) {
           if (job.speculative) st.backups_inflight[job.index] -= 1;
@@ -861,8 +875,9 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
       // with identical bits, the recurrence only depends on the seed
       // origin, so re-folding the prefix is idempotent).
       if (prefix != nullptr) {
-        min_merge_into(attempt.profile, attempt.index, prefix->profile,
-                       prefix->index);
+        merge_min_span(prefix->profile.data(), prefix->index.data(),
+                       attempt.profile.data(), attempt.index.data(),
+                       attempt.profile.size());
       }
 
       // ---- Success: numerical self-healing, then commit. ----
@@ -897,40 +912,34 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
             log_event(st,
                       {RunEvent::Kind::kSpeculationLost, tile.id, dev, ""});
           }
+          if (ctx.multi_node &&
+              ctx.domain_of((*ctx.executed_device)[job.index]) != domain) {
+            CoordinatorMetrics::get().node_commit_conflicts.add();
+          }
           break;
         }
+        // First finisher wins: the one commit of this tile.
         st.committed[job.index] = 1;
-        // Shard mode: first-commit-wins arbitration across nodes.  The
-        // winning hook copies the result into the coordinator's global
-        // arrays; a lost race drops the local result (the tile is done,
-        // just not by us).
-        bool won = true;
-        if (ctx.hooks != nullptr && ctx.hooks->on_commit) {
-          won = ctx.hooks->on_commit(job.index, attempt,
-                                     ctx.device_base + dev, job.mode);
-        }
-        if (won) {
-          TileResult& slot = (*ctx.results)[job.index];
-          slot.profile = std::move(attempt.profile);
-          slot.index = std::move(attempt.index);
-          slot.ledger.reset();
-          slot.ledger.merge_from(attempt.ledger);
-          slot.prefilter = attempt.prefilter;
-          (*ctx.executed_device)[job.index] = ctx.device_base + dev;
-          (*ctx.final_mode)[job.index] = job.mode;
-          st.result_valid[job.index] = 1;
-          st.partials[job.index] = CheckpointSlice{};  // superseded
-          st.health.devices[std::size_t(dev)].tiles_completed += 1;
-          SchedulerMetrics::get().tiles_completed.add();
-        }
+        TileResult& slot = (*ctx.results)[job.index];
+        slot.profile = std::move(attempt.profile);
+        slot.index = std::move(attempt.index);
+        slot.ledger.reset();
+        slot.ledger.merge_from(attempt.ledger);
+        slot.prefilter = attempt.prefilter;
+        (*ctx.executed_device)[job.index] = dev;
+        (*ctx.final_mode)[job.index] = job.mode;
+        st.partials[job.index] = CheckpointSlice{};  // superseded
+        st.health.devices[std::size_t(dev)].tiles_completed += 1;
+        SchedulerMetrics::get().tiles_completed.add();
+        if (ctx.multi_node) CoordinatorMetrics::get().node_commits.add();
         st.consecutive_failed_tiles[std::size_t(dev)] = 0;
         st.watchdog_strikes[std::size_t(dev)] = 0;
-        if (job.speculative && won) {
+        if (job.speculative) {
           st.health.speculative_wins += 1;
           SchedulerMetrics::get().speculative_wins.add();
           log_event(st, {RunEvent::Kind::kSpeculationWon, tile.id, dev, ""});
         }
-        // First finisher wins: withdraw every other attempt of this tile.
+        // Withdraw every other attempt of this tile.
         for (auto& [other_id, other] : st.inflight) {
           if (other.job_index == job.index) other.token->cancel();
         }
@@ -944,21 +953,18 @@ void device_worker(const RunContext& ctx, SchedulerState& st, int dev) {
                                     : 0.7 * st.wall_per_modeled + 0.3 * rate;
         }
         st.outstanding -= 1;
-        if (won) {
-          st.total_commits += 1;
-          st.commits_since_checkpoint += 1;
-          checkpoint_due =
-              ctx.config->checkpoint.enabled() &&
-              st.commits_since_checkpoint >=
-                  std::size_t(ctx.config->checkpoint.interval_tiles);
-          kill_due =
-              ctx.config->checkpoint.kill_after_tiles > 0 &&
-              st.total_commits ==
-                  std::size_t(ctx.config->checkpoint.kill_after_tiles);
-        }
+        st.total_commits += 1;
+        std::size_t& since = st.commits_since_checkpoint[std::size_t(domain)];
+        since += 1;
+        checkpoint_due =
+            ctx.config->checkpoint.enabled() &&
+            since >= std::size_t(ctx.config->checkpoint.interval_tiles);
+        kill_due = ctx.config->checkpoint.kill_after_tiles > 0 &&
+                   st.total_commits ==
+                       std::size_t(ctx.config->checkpoint.kill_after_tiles);
         st.cv.notify_all();
       }
-      if (checkpoint_due) write_checkpoint_now(ctx, st);
+      if (checkpoint_due) write_journal(ctx, st, domain);
       if (kill_due) request_shutdown();
       break;  // fetch the next job
     }
@@ -997,108 +1003,33 @@ void cpu_fallback_tile(const TimeSeries& reference, const TimeSeries& query,
   }
 }
 
-}  // namespace
 
-std::string RunEvent::to_string() const {
-  const std::string tile = "tile " + std::to_string(tile_id);
-  const std::string dev = "device " + std::to_string(device);
-  switch (kind) {
-    case Kind::kRetry:
-      return tile + ": " + detail + " on " + dev;
-    case Kind::kRetriesExhausted:
-      return tile + ": retries exhausted on " + dev + " (" + detail + ")";
-    case Kind::kReassigned:
-      return tile + ": reassigned to " + dev;
-    case Kind::kStolen:
-      return tile + ": stolen by " + dev;
-    case Kind::kBlacklisted:
-      return dev + " blacklisted: " + detail;
-    case Kind::kDeferredToCpu:
-      return tile + ": no healthy device left, deferring to CPU fallback";
-    case Kind::kCpuFallback:
-      return tile + ": completed on the CPU reference path (FP64)";
-    case Kind::kEscalated:
-      return tile + ": " + detail;
-    case Kind::kWatchdogFired:
-      return tile + ": watchdog fired on " + dev + " (" + detail + ")";
-    case Kind::kSpeculated:
-      return tile + ": speculative backup launched on " + dev + " (" +
-             detail + ")";
-    case Kind::kSpeculationWon:
-      return tile + ": speculative backup on " + dev + " won";
-    case Kind::kSpeculationLost:
-      return tile + ": attempt on " + dev + " cancelled, tile won elsewhere";
-    case Kind::kTileSplit:
-      return tile + ": memory pressure on " + dev + ", " + detail;
-    case Kind::kResumed:
-      return detail.empty() ? tile + ": restored from checkpoint"
-                            : "checkpoint resume: " + detail;
-    case Kind::kCheckpointWritten:
-      return "checkpoint written (" + detail + ")";
-    case Kind::kInterrupted:
-      return "shutdown requested, stopping (" + detail + ")";
-    case Kind::kResumeFallback:
-      return "resume fallback: " + detail;
-    case Kind::kSliceRestored:
-      return tile + ": " + detail;
-    case Kind::kSliceDiscarded:
-      return tile + ": journalled slice discarded (" + detail + ")";
-    case Kind::kNodeJoined:
-      return "node " + std::to_string(device) + " joined (" + detail + ")";
-    case Kind::kNodeCrashed:
-      return "node " + std::to_string(device) + " crashed: " + detail;
-    case Kind::kNodeStolen:
-      return tile + ": stolen by node " + std::to_string(device) +
-             (detail.empty() ? "" : " (" + detail + ")");
-    case Kind::kNodeDuplicated:
-      return tile + ": straggler duplicated to node " +
-             std::to_string(device) + " (" + detail + ")";
-  }
-  return detail;
-}
+/// Journal state restored against the *current* tile grid.  v3 journals
+/// key slices by absolute row/column ranges, so a journal written under a
+/// different grid (or node count) re-keys here: slices that exactly cover
+/// a current tile restore it whole; row-prefix slices seed a partial
+/// restore (the tail rows re-execute after a QT-only replay); everything
+/// else is discarded with a kSliceDiscarded record.
+struct RestoredState {
+  std::vector<char> committed;        ///< per tile: fully restored
+  std::vector<TileResult> results;    ///< filled where committed
+  std::vector<int> executed_device;   ///< journalled device (-1 = CPU)
+  std::vector<PrecisionMode> final_mode;
+  std::vector<CheckpointSlice> prefixes;  ///< per tile; r_count==0 = none
+  std::vector<RunEvent> events;       ///< prior run's event history
+  std::vector<RunEvent> log;          ///< restore-time events to append
+  std::size_t resumed = 0;            ///< tiles restored whole
+  std::size_t partial = 0;            ///< tiles seeded from a row prefix
+  std::size_t discarded = 0;          ///< slices unusable on this grid
+  std::size_t fallbacks = 0;          ///< journals rejected (missing/...)
+};
 
-std::string RunHealth::summary() const {
-  std::ostringstream os;
-  os << "run health: " << (degraded ? "DEGRADED" : "clean") << " — "
-     << faults_injected << " fault(s), " << retries << " retry(ies), "
-     << reassigned_tiles << " reassignment(s), " << blacklist_events
-     << " blacklist(s), " << cpu_fallback_tiles << " CPU-fallback tile(s), "
-     << escalations.size() << " escalation(s)\n";
-  if (resumed_tiles > 0 || checkpoint_writes > 0 || watchdog_fires > 0 ||
-      speculative_wins > 0 || speculative_losses > 0 || tile_splits > 0 ||
-      slice_commits > 0 || partial_slices > 0 || resume_fallbacks > 0 ||
-      slices_discarded > 0) {
-    os << "  durability: " << resumed_tiles << " tile(s) resumed, "
-       << checkpoint_writes << " checkpoint write(s), " << watchdog_fires
-       << " watchdog fire(s), " << speculative_wins << " speculative win(s)/"
-       << speculative_losses << " loss(es), " << tile_splits
-       << " tile split(s), " << slice_commits << " slice commit(s), "
-       << partial_slices << " partial restore(s), " << slices_discarded
-       << " slice(s) discarded, " << resume_fallbacks
-       << " resume fallback(s)\n";
-  }
-  if (node_crashes > 0 || node_steals > 0 || node_duplicates > 0) {
-    os << "  cluster: " << node_crashes << " node crash(es), " << node_steals
-       << " cross-node steal(s), " << node_duplicates
-       << " straggler duplicate(s)\n";
-  }
-  for (const auto& dev : devices) {
-    os << "  device " << dev.device << ": " << dev.tiles_completed
-       << " tile(s), " << dev.faults << " fault(s)"
-       << (dev.offline ? ", OFFLINE" : dev.blacklisted ? ", BLACKLISTED" : "")
-       << "\n";
-  }
-  for (const auto& esc : escalations) {
-    os << "  tile " << esc.tile_id << ": escalated " << to_string(esc.from)
-       << " -> " << to_string(esc.to) << " ("
-       << int(100.0 * esc.non_finite_fraction) << "% non-finite)\n";
-  }
-  for (const auto& event : events) {
-    os << "  | " << event.to_string() << "\n";
-  }
-  return os.str();
-}
-
+/// Reads `resume_path` plus any per-node side journals
+/// (`resume_path + ".node<k>"`) and re-keys their slices onto `tiles`.
+/// Unreadable journals never take the run down: each missing / corrupt /
+/// fingerprint-mismatched file is reported as a kResumeFallback entry in
+/// RestoredState::log (a missing base journal is only reported when no
+/// journal at all was readable — per-node files are optional by design).
 RestoredState restore_from_journals(const std::string& resume_path,
                                     std::uint64_t fingerprint,
                                     const std::vector<Tile>& tiles,
@@ -1240,214 +1171,12 @@ RestoredState restore_from_journals(const std::string& resume_path,
   return out;
 }
 
-MatrixProfileResult run_resilient(gpusim::System& system,
-                                  const TimeSeries& reference,
-                                  const TimeSeries& query,
-                                  const MatrixProfileConfig& config) {
-  const std::size_t m = config.window;
-  const std::size_t d = reference.dims();
-  const std::size_t n_r = reference.segment_count(m);
-  const std::size_t n_q = query.segment_count(m);
-  MPSIM_CHECK(n_r >= 1 && n_q >= 1,
-              "window " << m << " longer than the input series");
 
-  Stopwatch wall;
-  ScopedEvent run_span(MetricsRegistry::global(), "run_resilient", -1, "cpu");
-
-  auto tiles = compute_tile_list(n_r, n_q, config.tiles);
-  if (config.assignment == TileAssignment::kLpt) {
-    assign_tiles_lpt(tiles, system.device_count());
-  } else {
-    assign_tiles_round_robin(tiles, system.device_count());
-  }
-
-  // One stream pool per device; a tile occupies one stream per attempt so
-  // the stream's error capture isolates failures per tile.
-  std::vector<std::unique_ptr<gpusim::StreamPool>> pools;
-  for (int dev = 0; dev < system.device_count(); ++dev) {
-    pools.push_back(std::make_unique<gpusim::StreamPool>(
-        system.device(dev), config.streams_per_device));
-  }
-
-  std::vector<TileResult> results(tiles.size());
-  std::vector<int> executed_device(tiles.size(), -1);
-  std::vector<PrecisionMode> final_mode(tiles.size(), config.mode);
-
-  SchedulerState st;
-  st.queues.resize(std::size_t(system.device_count()));
-  st.blacklisted.assign(std::size_t(system.device_count()), 0);
-  st.consecutive_failed_tiles.assign(std::size_t(system.device_count()), 0);
-  st.watchdog_strikes.assign(std::size_t(system.device_count()), 0);
-  st.committed.assign(tiles.size(), 0);
-  st.backups_inflight.assign(tiles.size(), 0);
-  st.partials.assign(tiles.size(), CheckpointSlice{});
-  st.result_valid.assign(tiles.size(), 0);
-  for (int dev = 0; dev < system.device_count(); ++dev) {
-    RunHealth::DeviceStatus status;
-    status.device = dev;
-    st.health.devices.push_back(status);
-  }
-
-  // Shared across devices and attempts: series conversion happens once per
-  // storage format for the whole run (retries/escalations reuse it too).
-  // A caller-provided cache (config.staging_cache, e.g. the serve daemon's
-  // per-input cache) extends the reuse across whole runs.
-  StagingCache local_staging(reference, query);
-
-  RunContext ctx;
-  ctx.system = &system;
-  ctx.reference = &reference;
-  ctx.query = &query;
-  ctx.config = &config;
-  ctx.staging = config.staging_cache != nullptr ? config.staging_cache
-                                                : &local_staging;
-  for (auto& pool : pools) ctx.pools.push_back(pool.get());
-  ctx.tiles = &tiles;
-  ctx.results = &results;
-  ctx.executed_device = &executed_device;
-  ctx.final_mode = &final_mode;
-  ctx.clock = &wall;
-  ctx.fingerprint = checkpoint_fingerprint(reference, query, config);
-  ctx.dims = d;
-  std::vector<CheckpointSlice> prefixes(tiles.size());
-  ctx.prefixes = &prefixes;
-
-  // ---- Resume: re-key journalled slices onto this run's grid. ----
-  // A bad journal must never take the run down (every rejection is a
-  // structured kResumeFallback event), and a journal written under a
-  // different tile grid restores whatever still fits: exact-cover slices
-  // whole, row prefixes partially (the tail replays QT-only), the rest
-  // is discarded and recomputed.
-  std::size_t resumed = 0;
-  if (!config.checkpoint.resume_path.empty()) {
-    RestoredState restored = restore_from_journals(
-        config.checkpoint.resume_path, ctx.fingerprint, tiles, d, config);
-    st.health.events = std::move(restored.events);
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-      if (!restored.committed[t]) continue;
-      st.committed[t] = 1;
-      st.result_valid[t] = 1;
-      results[t].profile = std::move(restored.results[t].profile);
-      results[t].index = std::move(restored.results[t].index);
-      results[t].prefilter = restored.results[t].prefilter;
-      executed_device[t] = restored.executed_device[t];
-      final_mode[t] = restored.final_mode[t];
-    }
-    prefixes = std::move(restored.prefixes);
-    resumed = restored.resumed;
-    st.health.resumed_tiles = int(resumed);
-    st.health.partial_slices = int(restored.partial);
-    st.health.resume_fallbacks = int(restored.fallbacks);
-    st.health.slices_discarded = int(restored.discarded);
-    st.total_commits = resumed;
-    SchedulerMetrics::get().tiles_resumed.add(resumed);
-    SchedulerMetrics::get().slices_partial.add(restored.partial);
-    SchedulerMetrics::get().resume_fallback.add(restored.fallbacks);
-    SchedulerMetrics::get().slices_discarded.add(restored.discarded);
-    for (RunEvent& event : restored.log) log_event(st, std::move(event));
-    if (resumed > 0 || restored.partial > 0) {
-      log_event(st, {RunEvent::Kind::kResumed, -1, -1,
-                     std::to_string(resumed) + "/" +
-                         std::to_string(tiles.size()) + " tiles (+" +
-                         std::to_string(restored.partial) +
-                         " partial) from " +
-                         config.checkpoint.resume_path});
-    }
-  }
-
-  st.outstanding = tiles.size() - resumed;
-  for (std::size_t t = 0; t < tiles.size(); ++t) {
-    if (st.committed[t]) continue;
-    TileJob job;
-    job.index = t;
-    job.mode = config.mode;
-    st.queues[std::size_t(tiles[t].device)].push_back(std::move(job));
-  }
-
-  if (st.outstanding > 0) {
-    std::vector<std::thread> workers;
-    workers.reserve(std::size_t(system.device_count()));
-    for (int dev = 0; dev < system.device_count(); ++dev) {
-      workers.emplace_back(
-          [&ctx, &st, dev] { device_worker(ctx, st, dev); });
-    }
-    std::thread monitor([&ctx, &st] { monitor_thread(ctx, st); });
-    for (auto& w : workers) w.join();
-    {
-      std::lock_guard lock(st.mutex);
-      st.stop_monitor = true;
-    }
-    st.cv.notify_all();
-    monitor.join();
-  }
-
-  // ---- Interruption: flush the journal and unwind. ----
-  if (st.interrupted) {
-    write_checkpoint_now(ctx, st);
-    std::string what = "run interrupted: " +
-                       std::to_string(st.total_commits) + "/" +
-                       std::to_string(tiles.size()) + " tiles committed";
-    if (config.checkpoint.enabled()) {
-      what += "; checkpoint flushed to " + config.checkpoint.write_path +
-              " (resume with --resume=" + config.checkpoint.write_path + ")";
-    }
-    throw InterruptedError(what);
-  }
-
-  // ---- Graceful degradation: finish orphans on the CPU reference. ----
-  std::vector<TileJob> leftovers = std::move(st.cpu_jobs);
-  for (auto& queue : st.queues) {
-    for (auto& job : queue) leftovers.push_back(std::move(job));
-    queue.clear();
-  }
-  if (!leftovers.empty() && !config.resilience.cpu_fallback) {
-    throw Error("all devices failed and the CPU fallback is disabled (" +
-                std::to_string(leftovers.size()) + " tiles incomplete)");
-  }
-  for (auto& job : leftovers) {
-    if (st.committed[job.index]) continue;  // stale queue remnant
-    const Tile& tile = tiles[job.index];
-    {
-      ScopedEvent span(MetricsRegistry::global(),
-                       "tile " + std::to_string(tile.id) + " cpu-fallback",
-                       -1, "cpu",
-                       &SchedulerMetrics::get().tile_seconds);
-      cpu_fallback_tile(reference, query, m, tile, config.exclusion,
-                        results[job.index]);
-    }
-    st.committed[job.index] = 1;
-    st.result_valid[job.index] = 1;
-    st.total_commits += 1;
-    executed_device[job.index] = -1;
-    final_mode[job.index] = PrecisionMode::FP64;
-    st.health.cpu_fallback_tiles += 1;
-    SchedulerMetrics::get().cpu_fallback.add();
-    log_event(st, {RunEvent::Kind::kCpuFallback, tile.id, -1, ""});
-  }
-
-  // ---- Final journal: a complete run leaves a complete checkpoint. ----
-  if (config.checkpoint.enabled()) write_checkpoint_now(ctx, st);
-
-  MatrixProfileResult out = assemble_tile_results(
-      tiles, results, executed_device, n_q, d, config.streams_per_device);
-
-  // ---- Health report. ----
-  out.health = std::move(st.health);
-  if (gpusim::FaultInjector* injector =
-          system.device(0).fault_injector()) {
-    out.health.faults_injected = int(injector->fault_count());
-  }
-  out.health.degraded = out.health.blacklist_events > 0 ||
-                        out.health.cpu_fallback_tiles > 0 ||
-                        out.health.retries > 0 ||
-                        out.health.reassigned_tiles > 0 ||
-                        out.health.watchdog_fires > 0 ||
-                        out.health.tile_splits > 0;
-
-  out.wall_seconds = wall.seconds();
-  return out;
-}
-
+/// Assembles committed per-tile results into the final profile: the CPU
+/// column merge (Pseudocode 2, lines 6-8), the modelled makespan grouped
+/// by executing device (-1 = CPU fallback, no device time), the
+/// per-kernel breakdown (+ registry gauges) and the aggregated prefilter
+/// accounting.  health/wall_seconds are left for the caller.
 MatrixProfileResult assemble_tile_results(
     const std::vector<Tile>& tiles, std::vector<TileResult>& results,
     const std::vector<int>& executed_device, std::size_t n_q, std::size_t d,
@@ -1541,53 +1270,175 @@ MatrixProfileResult assemble_tile_results(
   return out;
 }
 
-void compute_tile_on_cpu(const TimeSeries& reference, const TimeSeries& query,
-                         std::size_t window, const Tile& tile,
-                         std::int64_t exclusion, TileResult& result) {
-  cpu_fallback_tile(reference, query, window, tile, exclusion, result);
+
+}  // namespace
+
+std::string RunEvent::to_string() const {
+  const std::string tile = "tile " + std::to_string(tile_id);
+  const std::string dev = "device " + std::to_string(device);
+  switch (kind) {
+    case Kind::kRetry:
+      return tile + ": " + detail + " on " + dev;
+    case Kind::kRetriesExhausted:
+      return tile + ": retries exhausted on " + dev + " (" + detail + ")";
+    case Kind::kReassigned:
+      return tile + ": reassigned to " + dev;
+    case Kind::kStolen:
+      return tile + ": stolen by " + dev;
+    case Kind::kBlacklisted:
+      return dev + " blacklisted: " + detail;
+    case Kind::kDeferredToCpu:
+      return tile + ": no healthy device left, deferring to CPU fallback";
+    case Kind::kCpuFallback:
+      return tile + ": completed on the CPU reference path (FP64)";
+    case Kind::kEscalated:
+      return tile + ": " + detail;
+    case Kind::kWatchdogFired:
+      return tile + ": watchdog fired on " + dev + " (" + detail + ")";
+    case Kind::kSpeculated:
+      return tile + ": speculative backup launched on " + dev + " (" +
+             detail + ")";
+    case Kind::kSpeculationWon:
+      return tile + ": speculative backup on " + dev + " won";
+    case Kind::kSpeculationLost:
+      return tile + ": attempt on " + dev + " cancelled, tile won elsewhere";
+    case Kind::kTileSplit:
+      return tile + ": memory pressure on " + dev + ", " + detail;
+    case Kind::kResumed:
+      return detail.empty() ? tile + ": restored from checkpoint"
+                            : "checkpoint resume: " + detail;
+    case Kind::kCheckpointWritten:
+      return "checkpoint written (" + detail + ")";
+    case Kind::kInterrupted:
+      return "shutdown requested, stopping (" + detail + ")";
+    case Kind::kResumeFallback:
+      return "resume fallback: " + detail;
+    case Kind::kSliceRestored:
+      return tile + ": " + detail;
+    case Kind::kSliceDiscarded:
+      return tile + ": journalled slice discarded (" + detail + ")";
+    case Kind::kNodeJoined:
+      return "node " + std::to_string(device) + " joined (" + detail + ")";
+    case Kind::kNodeCrashed:
+      return "node " + std::to_string(device) + " crashed: " + detail;
+    case Kind::kNodeStolen:
+      return tile + ": stolen by node " + std::to_string(device) +
+             (detail.empty() ? "" : " (" + detail + ")");
+    case Kind::kNodeDuplicated:
+      return tile + ": straggler duplicated to node " +
+             std::to_string(device) + " (" + detail + ")";
+  }
+  return detail;
 }
 
-ShardOutcome run_resilient_shard(gpusim::System& system,
-                                 const TimeSeries& reference,
-                                 const TimeSeries& query,
-                                 const MatrixProfileConfig& config,
-                                 const std::vector<Tile>& tiles,
-                                 const std::vector<std::size_t>& initial,
-                                 int node_id, int device_base,
-                                 const ShardHooks& hooks,
-                                 const std::vector<CheckpointSlice>* prefixes,
-                                 std::uint64_t fingerprint) {
-  Stopwatch wall;
+std::string RunHealth::summary() const {
+  std::ostringstream os;
+  os << "run health: " << (degraded ? "DEGRADED" : "clean") << " — "
+     << faults_injected << " fault(s), " << retries << " retry(ies), "
+     << reassigned_tiles << " reassignment(s), " << blacklist_events
+     << " blacklist(s), " << cpu_fallback_tiles << " CPU-fallback tile(s), "
+     << escalations.size() << " escalation(s)\n";
+  if (resumed_tiles > 0 || checkpoint_writes > 0 || watchdog_fires > 0 ||
+      speculative_wins > 0 || speculative_losses > 0 || tile_splits > 0 ||
+      slice_commits > 0 || partial_slices > 0 || resume_fallbacks > 0 ||
+      slices_discarded > 0) {
+    os << "  durability: " << resumed_tiles << " tile(s) resumed, "
+       << checkpoint_writes << " checkpoint write(s), " << watchdog_fires
+       << " watchdog fire(s), " << speculative_wins << " speculative win(s)/"
+       << speculative_losses << " loss(es), " << tile_splits
+       << " tile split(s), " << slice_commits << " slice commit(s), "
+       << partial_slices << " partial restore(s), " << slices_discarded
+       << " slice(s) discarded, " << resume_fallbacks
+       << " resume fallback(s)\n";
+  }
+  if (node_crashes > 0 || node_steals > 0 || node_duplicates > 0) {
+    os << "  cluster: " << node_crashes << " node crash(es), " << node_steals
+       << " cross-node steal(s), " << node_duplicates
+       << " straggler duplicate(s)\n";
+  }
+  for (const auto& dev : devices) {
+    os << "  device " << dev.device << ": " << dev.tiles_completed
+       << " tile(s), " << dev.faults << " fault(s)"
+       << (dev.offline ? ", OFFLINE" : dev.blacklisted ? ", BLACKLISTED" : "")
+       << "\n";
+  }
+  for (const auto& esc : escalations) {
+    os << "  tile " << esc.tile_id << ": escalated " << to_string(esc.from)
+       << " -> " << to_string(esc.to) << " ("
+       << int(100.0 * esc.non_finite_fraction) << "% non-finite)\n";
+  }
+  for (const auto& event : events) {
+    os << "  | " << event.to_string() << "\n";
+  }
+  return os.str();
+}
 
+
+MatrixProfileResult run_resilient(gpusim::System& system,
+                                  const TimeSeries& reference,
+                                  const TimeSeries& query,
+                                  const MatrixProfileConfig& config,
+                                  const FaultDomains& domains) {
+  const std::size_t m = config.window;
+  const std::size_t d = reference.dims();
+  const std::size_t n_r = reference.segment_count(m);
+  const std::size_t n_q = query.segment_count(m);
+  MPSIM_CHECK(n_r >= 1 && n_q >= 1,
+              "window " << m << " longer than the input series");
+  const int devices = system.device_count();
+  MPSIM_CHECK(domains.nodes >= 1 && devices % domains.nodes == 0,
+              devices << " devices do not split into " << domains.nodes
+                      << " equal fault domains");
+  const bool multi_node = domains.nodes > 1 || domains.injector != nullptr;
+
+  Stopwatch wall;
+  auto& registry = MetricsRegistry::global();
+  ScopedEvent run_span(registry, multi_node ? "coordinator" : "run_resilient",
+                       -1, "cpu");
+  if (multi_node) CoordinatorMetrics::get().nodes.set(double(domains.nodes));
+
+  auto tiles = compute_tile_list(n_r, n_q, config.tiles);
+  if (config.assignment == TileAssignment::kLpt) {
+    assign_tiles_lpt(tiles, devices);
+  } else {
+    assign_tiles_round_robin(tiles, devices);
+  }
+
+  // One stream pool per device; a tile occupies one stream per attempt so
+  // the stream's error capture isolates failures per tile.
   std::vector<std::unique_ptr<gpusim::StreamPool>> pools;
-  for (int dev = 0; dev < system.device_count(); ++dev) {
+  for (int dev = 0; dev < devices; ++dev) {
     pools.push_back(std::make_unique<gpusim::StreamPool>(
         system.device(dev), config.streams_per_device));
   }
 
-  // Node-local result slots: the coordinator's on_commit hook copies the
-  // winning results into its global arrays; the local copies back this
-  // shard's journal (write_path is the coordinator-assigned per-node
-  // side journal).
   std::vector<TileResult> results(tiles.size());
   std::vector<int> executed_device(tiles.size(), -1);
   std::vector<PrecisionMode> final_mode(tiles.size(), config.mode);
 
   SchedulerState st;
-  st.queues.resize(std::size_t(system.device_count()));
-  st.blacklisted.assign(std::size_t(system.device_count()), 0);
-  st.consecutive_failed_tiles.assign(std::size_t(system.device_count()), 0);
-  st.watchdog_strikes.assign(std::size_t(system.device_count()), 0);
+  st.queues.resize(std::size_t(devices));
+  st.blacklisted.assign(std::size_t(devices), 0);
+  st.consecutive_failed_tiles.assign(std::size_t(devices), 0);
+  st.watchdog_strikes.assign(std::size_t(devices), 0);
   st.committed.assign(tiles.size(), 0);
   st.backups_inflight.assign(tiles.size(), 0);
   st.partials.assign(tiles.size(), CheckpointSlice{});
-  st.result_valid.assign(tiles.size(), 0);
-  for (int dev = 0; dev < system.device_count(); ++dev) {
+  st.domain_down.assign(std::size_t(domains.nodes), 0);
+  st.domain_workers.assign(std::size_t(domains.nodes),
+                           devices / domains.nodes);
+  st.commits_since_checkpoint.assign(std::size_t(domains.nodes), 0);
+  st.journal_io = std::make_unique<std::mutex[]>(std::size_t(domains.nodes));
+  for (int dev = 0; dev < devices; ++dev) {
     RunHealth::DeviceStatus status;
-    status.device = device_base + dev;
+    status.device = dev;
     st.health.devices.push_back(status);
   }
 
+  // Shared across devices and attempts: series conversion happens once per
+  // storage format for the whole run (retries/escalations reuse it too).
+  // A caller-provided cache (config.staging_cache, e.g. the serve daemon's
+  // per-input cache) extends the reuse across whole runs.
   StagingCache local_staging(reference, query);
 
   RunContext ctx;
@@ -1603,61 +1454,170 @@ ShardOutcome run_resilient_shard(gpusim::System& system,
   ctx.executed_device = &executed_device;
   ctx.final_mode = &final_mode;
   ctx.clock = &wall;
-  ctx.fingerprint = fingerprint;
-  ctx.dims = reference.dims();
-  ctx.hooks = &hooks;
-  ctx.node_id = node_id;
-  ctx.device_base = device_base;
-  ctx.prefixes = prefixes;
+  ctx.fingerprint = checkpoint_fingerprint(reference, query, config);
+  ctx.dims = d;
+  std::vector<CheckpointSlice> prefixes(tiles.size());
+  ctx.prefixes = &prefixes;
+  ctx.domains = domains;
+  ctx.domain_devices = devices / domains.nodes;
+  ctx.multi_node = multi_node;
 
-  st.outstanding = initial.size();
-  for (std::size_t k = 0; k < initial.size(); ++k) {
-    TileJob job;
-    job.index = initial[k];
-    job.mode = config.mode;
-    st.queues[k % st.queues.size()].push_back(std::move(job));
-  }
-
-  // Workers always start, even with an empty initial backlog: an elastic
-  // shard may receive all of its work via acquire_more (steals, released
-  // tiles of crashed peers) and only retires at global completion.
-  std::vector<std::thread> workers;
-  workers.reserve(std::size_t(system.device_count()));
-  for (int dev = 0; dev < system.device_count(); ++dev) {
-    workers.emplace_back([&ctx, &st, dev] { device_worker(ctx, st, dev); });
-  }
-  std::thread monitor([&ctx, &st] { monitor_thread(ctx, st); });
-  for (auto& w : workers) w.join();
-  {
-    std::lock_guard lock(st.mutex);
-    st.stop_monitor = true;
-  }
-  st.cv.notify_all();
-  monitor.join();
-
-  ShardOutcome outcome;
-  outcome.crashed = st.shard_failed;
-  outcome.crash_reason = st.shard_fail_reason;
-  outcome.interrupted = st.interrupted && !st.shard_failed;
-
-  // A crashed node does not get a last orderly journal write (its
-  // in-memory slices die with it — exactly what elastic resume has to
-  // survive).  An interrupted or completed shard flushes everything,
-  // partial row-slices included.
-  if (!st.shard_failed && config.checkpoint.enabled()) {
-    write_checkpoint_now(ctx, st);
-  }
-
-  for (const TileJob& job : st.cpu_jobs) {
-    if (!st.committed[job.index]) outcome.incomplete.push_back(job.index);
-  }
-  for (const auto& queue : st.queues) {
-    for (const TileJob& job : queue) {
-      if (!st.committed[job.index]) outcome.incomplete.push_back(job.index);
+  // ---- Resume: re-key journalled slices onto this run's grid. ----
+  // A bad journal must never take the run down (every rejection is a
+  // structured kResumeFallback event), and a journal written under a
+  // different tile grid or node count restores whatever still fits:
+  // exact-cover slices whole, row prefixes partially (the tail replays
+  // QT-only), the rest is discarded and recomputed.
+  std::size_t resumed = 0;
+  if (!config.checkpoint.resume_path.empty()) {
+    RestoredState restored = restore_from_journals(
+        config.checkpoint.resume_path, ctx.fingerprint, tiles, d, config);
+    st.health.events = std::move(restored.events);
+    for (std::size_t t = 0; t < tiles.size(); ++t) {
+      if (!restored.committed[t]) continue;
+      st.committed[t] = 1;
+      results[t].profile = std::move(restored.results[t].profile);
+      results[t].index = std::move(restored.results[t].index);
+      results[t].prefilter = restored.results[t].prefilter;
+      executed_device[t] = restored.executed_device[t];
+      final_mode[t] = restored.final_mode[t];
+    }
+    prefixes = std::move(restored.prefixes);
+    resumed = restored.resumed;
+    st.health.resumed_tiles = int(resumed);
+    st.health.partial_slices = int(restored.partial);
+    st.health.resume_fallbacks = int(restored.fallbacks);
+    st.health.slices_discarded = int(restored.discarded);
+    st.total_commits = resumed;
+    SchedulerMetrics::get().tiles_resumed.add(resumed);
+    SchedulerMetrics::get().slices_partial.add(restored.partial);
+    SchedulerMetrics::get().resume_fallback.add(restored.fallbacks);
+    SchedulerMetrics::get().slices_discarded.add(restored.discarded);
+    for (RunEvent& event : restored.log) log_event(st, std::move(event));
+    if (resumed > 0 || restored.partial > 0) {
+      log_event(st, {RunEvent::Kind::kResumed, -1, -1,
+                     std::to_string(resumed) + "/" +
+                         std::to_string(tiles.size()) + " tiles (+" +
+                         std::to_string(restored.partial) +
+                         " partial) from " +
+                         config.checkpoint.resume_path});
     }
   }
-  outcome.health = std::move(st.health);
-  return outcome;
+  if (multi_node) {
+    for (int k = 0; k < domains.nodes; ++k) {
+      const int first = k * ctx.domain_devices;
+      log_event(st, {RunEvent::Kind::kNodeJoined, -1, k,
+                     std::to_string(ctx.domain_devices) +
+                         " device(s), global ids " + std::to_string(first) +
+                         ".." +
+                         std::to_string(first + ctx.domain_devices - 1)});
+    }
+  }
+
+  st.outstanding = tiles.size() - resumed;
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    if (st.committed[t]) continue;
+    TileJob job;
+    job.index = t;
+    job.mode = config.mode;
+    st.queues[std::size_t(tiles[t].device)].push_back(std::move(job));
+  }
+
+  if (st.outstanding > 0) {
+    const double launch = registry.now_seconds();
+    std::vector<std::thread> workers;
+    workers.reserve(std::size_t(devices));
+    for (int dev = 0; dev < devices; ++dev) {
+      workers.emplace_back([&ctx, &st, &registry, launch, dev] {
+        device_worker(ctx, st, dev);
+        if (!ctx.multi_node) return;
+        // A node's lifecycle span ends when its last worker retires.
+        const int k = ctx.domain_of(dev);
+        std::lock_guard lock(st.mutex);
+        if (--st.domain_workers[std::size_t(k)] == 0) {
+          registry.record_event({"node " + std::to_string(k), k, "node",
+                                 launch, registry.now_seconds() - launch});
+        }
+      });
+    }
+    std::thread monitor([&ctx, &st] { monitor_thread(ctx, st); });
+    for (auto& w : workers) w.join();
+    {
+      std::lock_guard lock(st.mutex);
+      st.stop_monitor = true;
+    }
+    st.cv.notify_all();
+    monitor.join();
+  }
+
+  // ---- Interruption: flush the journal and unwind. ----
+  if (st.interrupted) {
+    write_journal(ctx, st, -1);
+    std::string what = "run interrupted: " +
+                       std::to_string(st.total_commits) + "/" +
+                       std::to_string(tiles.size()) + " tiles committed";
+    if (config.checkpoint.enabled()) {
+      what += "; checkpoint flushed to " + config.checkpoint.write_path +
+              " (resume with --resume=" + config.checkpoint.write_path + ")";
+    }
+    throw InterruptedError(what);
+  }
+
+  // ---- Graceful degradation: finish orphans on the CPU reference. ----
+  std::vector<TileJob> leftovers = std::move(st.cpu_jobs);
+  for (auto& queue : st.queues) {
+    for (auto& job : queue) leftovers.push_back(std::move(job));
+    queue.clear();
+  }
+  if (!leftovers.empty() && !config.resilience.cpu_fallback) {
+    throw Error("all devices failed and the CPU fallback is disabled (" +
+                std::to_string(leftovers.size()) + " tiles incomplete)");
+  }
+  for (auto& job : leftovers) {
+    if (st.committed[job.index]) continue;  // stale queue remnant
+    const Tile& tile = tiles[job.index];
+    {
+      ScopedEvent span(registry,
+                       "tile " + std::to_string(tile.id) + " cpu-fallback",
+                       -1, "cpu", &SchedulerMetrics::get().tile_seconds);
+      cpu_fallback_tile(reference, query, m, tile, config.exclusion,
+                        results[job.index]);
+    }
+    st.committed[job.index] = 1;
+    st.total_commits += 1;
+    executed_device[job.index] = -1;
+    final_mode[job.index] = PrecisionMode::FP64;
+    st.health.cpu_fallback_tiles += 1;
+    SchedulerMetrics::get().cpu_fallback.add();
+    if (multi_node) CoordinatorMetrics::get().cpu_fallback_tiles.add();
+    log_event(st, {RunEvent::Kind::kCpuFallback, tile.id, -1, ""});
+  }
+
+  // ---- Final journal: a complete run leaves a complete checkpoint. ----
+  if (config.checkpoint.enabled()) write_journal(ctx, st, -1);
+
+  MatrixProfileResult out = assemble_tile_results(
+      tiles, results, executed_device, n_q, d, config.streams_per_device);
+
+  // ---- Health report. ----
+  out.health = std::move(st.health);
+  if (gpusim::FaultInjector* injector =
+          system.device(0).fault_injector()) {
+    out.health.faults_injected = int(injector->fault_count());
+  }
+  if (domains.injector != nullptr) {
+    out.health.faults_injected += int(domains.injector->fault_count());
+  }
+  out.health.degraded = out.health.blacklist_events > 0 ||
+                        out.health.cpu_fallback_tiles > 0 ||
+                        out.health.retries > 0 ||
+                        out.health.reassigned_tiles > 0 ||
+                        out.health.watchdog_fires > 0 ||
+                        out.health.tile_splits > 0 ||
+                        out.health.node_crashes > 0;
+
+  out.wall_seconds = wall.seconds();
+  return out;
 }
 
 }  // namespace mpsim::mp

@@ -1,6 +1,7 @@
 // Resilient multi-tile scheduler — the fault-tolerant rework of the
-// paper's Pseudocode 2 execution layer (it replaces the old all-or-nothing
-// run_multi_tile).
+// paper's Pseudocode 2 execution layer, and the only scheduler in the
+// tree: single-node runs and the elastic multi-node runs of src/cluster
+// both execute here.
 //
 // Tiles are partitioned and statically assigned exactly as before (static
 // Round-robin or LPT, preserving the paper's scaling behaviour and the
@@ -20,170 +21,61 @@
 //    non-finite entries is re-run one precision rung up
 //    (FP16 → Mixed → FP32 → FP64), per-tile, recording the escalation.
 //
-// Everything that happened is reported in MatrixProfileResult::health.
-// Invariant (tested): an FP64 run under injected transient faults and
-// device loss produces a bit-identical profile/index to the fault-free
-// run, because per-tile results do not depend on where or how often a
-// tile was (re)computed.
+// Fault domains (the paper's §VII "multiple nodes" extension): the
+// system's devices are grouped into FaultDomains::nodes equal domains,
+// node k owning devices [k*D, (k+1)*D).  There is still one lock, one
+// commit table, one watchdog and one CPU fallback; each node-level
+// mechanism is a domain-aware rule of the device-level one:
 //
-// The same scheduler also runs as one *shard* of a multi-node cluster
-// (run_resilient_shard): the coordinator in src/cluster owns the global
-// tile grid and per-tile commit state, and each node runs the full
-// retry/blacklist/watchdog machinery over its own device fleet, reporting
-// commits upward through ShardHooks.  Cross-node work stealing, straggler
-// duplication and node-crash recovery live one level up in the
-// coordinator; the bit-identity invariant extends across that layer
-// because a tile's bits depend only on its seed origin, never on which
-// node (or how many nodes) computed it.
+//  * node crash — the node injector fires once per popped tile at the
+//    kNodeTile site; a NodeFailedError offline-blacklists the whole
+//    domain, cancels its in-flight attempts and requeues its jobs;
+//  * cross-node stealing — an idle worker takes the newest queued job of
+//    the longest queue in another live domain, never a domain's last one;
+//  * straggler duplication — the watchdog's speculative backup prefers a
+//    device in another domain;
+//  * journalling — domain k of a multi-node run journals its own commits
+//    and row slices to `<write_path>.node<k>`; the whole-run journal is
+//    written at interruption and completion.
+//
+// Everything that happened is reported in MatrixProfileResult::health.
+// Invariant (tested): an FP64 run under injected transient faults, device
+// loss or node loss produces a bit-identical profile/index to the
+// fault-free run, because per-tile results do not depend on where or how
+// often a tile was (re)computed — nor on how many nodes there were.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <functional>
-#include <optional>
-#include <string>
-#include <vector>
-
 #include "gpusim/device.hpp"
-#include "mp/checkpoint.hpp"
 #include "mp/options.hpp"
-#include "mp/single_tile.hpp"
-#include "mp/tile_plan.hpp"
 #include "tsdata/time_series.hpp"
 
 namespace mpsim::gpusim {
-class CancellationToken;
+class FaultInjector;
 }
 
 namespace mpsim::mp {
+
+/// The node level of the fault-domain tree.  One domain without a node
+/// injector is the plain single-node run.
+struct FaultDomains {
+  int nodes = 1;      ///< equal device groups; divides the device count
+  bool steal = true;  ///< cross-domain stealing of queued jobs
+  /// Node-level injector fired at kNodeTile with the domain as "device"
+  /// (node_crash / node_stall / node_slow); nullptr = none.
+  gpusim::FaultInjector* injector = nullptr;
+};
 
 /// Runs the resilient multi-tile computation on `system`.  Precision is
 /// dispatched per tile (escalation can raise individual tiles above
 /// config.mode).  A FaultInjector already attached to the system's
 /// devices is honoured and its events are folded into the health report.
+/// Throws InterruptedError after flushing the journal when a shutdown
+/// request (or a kill_after_tiles / kill_after_slices chaos kill) stops
+/// the run early.
 MatrixProfileResult run_resilient(gpusim::System& system,
                                   const TimeSeries& reference,
                                   const TimeSeries& query,
-                                  const MatrixProfileConfig& config);
-
-/// Journal state restored against the *current* tile grid.  v3 journals
-/// key slices by absolute row/column ranges, so a journal written under a
-/// different grid (or node count) re-keys here: slices that exactly cover
-/// a current tile restore it whole; row-prefix slices seed a partial
-/// restore (the tail rows re-execute after a QT-only replay); everything
-/// else is discarded with a kSliceDiscarded record.
-struct RestoredState {
-  std::vector<char> committed;        ///< per tile: fully restored
-  std::vector<TileResult> results;    ///< filled where committed
-  std::vector<int> executed_device;   ///< journalled device (-1 = CPU)
-  std::vector<PrecisionMode> final_mode;
-  std::vector<CheckpointSlice> prefixes;  ///< per tile; r_count==0 = none
-  std::vector<RunEvent> events;       ///< prior run's event history
-  std::vector<RunEvent> log;          ///< restore-time events to append
-  std::size_t resumed = 0;            ///< tiles restored whole
-  std::size_t partial = 0;            ///< tiles seeded from a row prefix
-  std::size_t discarded = 0;          ///< slices unusable on this grid
-  std::size_t fallbacks = 0;          ///< journals rejected (missing/...)
-};
-
-/// Reads `resume_path` plus any per-node side journals
-/// (`resume_path + ".node<k>"`) and re-keys their slices onto `tiles`.
-/// Unreadable journals never take the run down: each missing / corrupt /
-/// fingerprint-mismatched file is reported as a kResumeFallback entry in
-/// RestoredState::log (a missing base journal is only reported when no
-/// journal at all was readable — per-node files are optional by design).
-RestoredState restore_from_journals(const std::string& resume_path,
-                                    std::uint64_t fingerprint,
-                                    const std::vector<Tile>& tiles,
-                                    std::size_t dims,
-                                    const MatrixProfileConfig& config);
-
-/// Callbacks a cluster coordinator installs into one node's shard
-/// scheduler.  Every hook except on_tile_start is invoked with the
-/// shard's scheduler mutex held, so a hook may take the coordinator's
-/// lock (the lock order is always shard → coordinator) but must never
-/// call back into the shard.  on_tile_start runs unlocked (it may stall
-/// for a long time) after the attempt registered its cancellation token.
-struct ShardHooks {
-  /// Final gate before a popped tile executes: false when the tile was
-  /// committed elsewhere (or this node's claim was revoked) while queued.
-  std::function<bool(std::size_t tile)> should_run;
-
-  /// First-commit-wins arbitration.  The winner's hook copies `result`
-  /// into the coordinator's global arrays and returns true; false means
-  /// another node got there first (the shard drops the result).
-  /// `device` is the executing device's *global* index.
-  std::function<bool(std::size_t tile, TileResult& result, int device,
-                     PrecisionMode mode)>
-      on_commit;
-
-  /// Liveness sweep: true when `tile` is already committed globally, so
-  /// in-flight local attempts of it should be cancelled.
-  std::function<bool(std::size_t tile)> committed_elsewhere;
-
-  /// Work stealing: asks the coordinator for one more tile (released by
-  /// a crashed node, duplicated from a straggler, or stolen from a
-  /// loaded peer).  nullopt = nothing to hand out right now.
-  std::function<std::optional<std::size_t>()> acquire_more;
-
-  /// Global completion: every tile committed; idle workers may exit.
-  std::function<bool()> all_done;
-
-  /// Node-level fault hook, fired once per popped tile before its first
-  /// attempt.  May stall in a cancellable sleep (node_stall/node_slow)
-  /// or throw NodeFailedError (node_crash), which takes the whole shard
-  /// down without flushing its journal.
-  std::function<void(std::size_t tile, const gpusim::CancellationToken*)>
-      on_tile_start;
-};
-
-/// What one node's shard run reports back to the coordinator.
-struct ShardOutcome {
-  bool interrupted = false;  ///< global shutdown observed mid-run
-  bool crashed = false;      ///< NodeFailedError took the node down
-  std::string crash_reason;
-  RunHealth health;          ///< this shard's counters + event log
-  std::vector<std::size_t> incomplete;  ///< tiles left uncommitted here
-};
-
-/// Runs one node's shard of a multi-node computation: the full resilient
-/// scheduler (retry, blacklist, watchdog, speculation, row-slice
-/// journalling to config.checkpoint.write_path) over `system`'s devices,
-/// seeded with the `initial` tile indices and coordinated through
-/// `hooks`.  `tiles` is the *global* tile list (shared with every other
-/// shard); `device_base` offsets local device indices into the global
-/// numbering; `prefixes` (optional, per global tile) seeds restored
-/// row-slice prefixes.  A crashed shard (`ShardOutcome::crashed`) does
-/// not flush its journal — crash realism the resume tests rely on.
-/// Never throws InterruptedError; shutdown is reported in the outcome.
-ShardOutcome run_resilient_shard(gpusim::System& system,
-                                 const TimeSeries& reference,
-                                 const TimeSeries& query,
-                                 const MatrixProfileConfig& config,
-                                 const std::vector<Tile>& tiles,
-                                 const std::vector<std::size_t>& initial,
-                                 int node_id, int device_base,
-                                 const ShardHooks& hooks,
-                                 const std::vector<CheckpointSlice>* prefixes,
-                                 std::uint64_t fingerprint);
-
-/// Assembles committed per-tile results into the final profile: the CPU
-/// column merge (Pseudocode 2, lines 6-8), the modelled makespan grouped
-/// by executing device (global indices; -1 = CPU fallback, no device
-/// time), the per-kernel breakdown (+ registry gauges) and the
-/// aggregated prefilter accounting.  health/wall_seconds are left for
-/// the caller.  Shared by run_resilient and the cluster coordinator so
-/// both produce byte-identical assemblies.
-MatrixProfileResult assemble_tile_results(
-    const std::vector<Tile>& tiles, std::vector<TileResult>& results,
-    const std::vector<int>& executed_device, std::size_t n_q, std::size_t d,
-    int streams_per_device);
-
-/// Computes one tile on the CPU reference path (bit-identical to the FP64
-/// GPU engine).  Public for the coordinator's last-resort fallback when
-/// every node has crashed.
-void compute_tile_on_cpu(const TimeSeries& reference, const TimeSeries& query,
-                         std::size_t window, const Tile& tile,
-                         std::int64_t exclusion, TileResult& result);
+                                  const MatrixProfileConfig& config,
+                                  const FaultDomains& domains = {});
 
 }  // namespace mpsim::mp

@@ -15,6 +15,33 @@
 
 namespace mpsim::mp {
 
+/// The one min/argmin tie rule of every result merge: folds `n` entries
+/// of (src_profile, src_index) into (dst_profile, dst_index).  Smaller
+/// distance wins; on equal distance the smaller non-negative index wins;
+/// NaN never displaces (the strict `<` is false for it).  The rule is a
+/// lexicographic min, hence associative: folding row sub-tiles, row-slice
+/// prefixes and whole tiles in any grouping gives the same bits.  The
+/// vector span implements the identical rule; the scalar loop finishes
+/// the tail.
+inline void merge_min_span(const double* src_profile,
+                           const std::int64_t* src_index,
+                           double* dst_profile, std::int64_t* dst_index,
+                           std::size_t n) {
+  const auto count = std::int64_t(n);
+  std::int64_t c = simd::merge_tile_span(src_profile, src_index, dst_profile,
+                                         dst_index, count);
+  for (; c < count; ++c) {
+    const double p = src_profile[c];
+    const std::int64_t idx = src_index[c];
+    if (p < dst_profile[c] ||
+        (p == dst_profile[c] && idx >= 0 &&
+         (dst_index[c] < 0 || idx < dst_index[c]))) {
+      dst_profile[c] = p;
+      dst_index[c] = idx;
+    }
+  }
+}
+
 /// Column-wise min/argmin merge of `results[t]` (one per tile) into the
 /// full profile.  Smaller distance wins; equal distances prefer the
 /// earlier reference segment — the same tie rule the kernels use, so
@@ -42,28 +69,14 @@ inline void merge_tile_results(const std::vector<Tile>& tiles,
       const std::size_t je = std::min(col_end, tile.q_begin + tile.q_count);
       if (jb >= je) continue;
       for (std::size_t k = 0; k < d; ++k) {
-        // Both sides are column-contiguous over [jb, je); the vector span
-        // implements the identical strict-</equal-distance-earlier-index
-        // rule (NaN on either side keeps the destination), the scalar
-        // loop finishes the tail.
+        // Both sides are column-contiguous over [jb, je).
         const std::size_t j0 = jb - tile.q_begin;
         const double* const src_p = r.profile.data() + k * tile.q_count + j0;
         const std::int64_t* const src_i =
             r.index.data() + k * tile.q_count + j0;
         double* const dst_p = out.profile.data() + k * n_q + jb;
         std::int64_t* const dst_i = out.index.data() + k * n_q + jb;
-        const auto n = std::int64_t(je - jb);
-        std::int64_t c = simd::merge_tile_span(src_p, src_i, dst_p, dst_i, n);
-        for (; c < n; ++c) {
-          const double p = src_p[c];
-          const std::int64_t idx = src_i[c];
-          if (p < dst_p[c] ||
-              (p == dst_p[c] && idx >= 0 &&
-               (dst_i[c] < 0 || idx < dst_i[c]))) {
-            dst_p[c] = p;
-            dst_i[c] = idx;
-          }
-        }
+        merge_min_span(src_p, src_i, dst_p, dst_i, je - jb);
       }
     }
   };

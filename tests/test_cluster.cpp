@@ -1,17 +1,18 @@
 // Tests for the multi-node cluster extension: functional equivalence with
-// single-node execution, the scaling behaviour of the model, and the
-// elastic coordinator (sharded execution, cross-node recovery, and
+// single-node execution, the scaling behaviour of the model, and elastic
+// execution over node fault domains (cross-node recovery, stealing and
 // grid/node-count-changing resume — all bit-identical to one node).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 
-#include "cluster/cluster.hpp"
 #include "cluster/coordinator.hpp"
 #include "common/metrics.hpp"
 #include "common/shutdown.hpp"
+#include "gpusim/spec.hpp"
 #include "mp/matrix_profile.hpp"
+#include "mp/model.hpp"
 #include "tsdata/synthetic.hpp"
 
 namespace mpsim::cluster {
@@ -28,52 +29,73 @@ SyntheticDataset small_dataset() {
 
 TEST(Cluster, MultiNodeMatchesSingleNodeResults) {
   const auto data = small_dataset();
-  ClusterConfig config;
+  mp::MatrixProfileConfig config;
   config.window = 16;
   config.tiles = 16;
-  config.devices_per_node = 2;
+  config.devices = 2;
 
-  config.nodes = 1;
-  const auto one = compute_matrix_profile_cluster(data.reference, data.query,
-                                                  config);
-  config.nodes = 4;
-  const auto four = compute_matrix_profile_cluster(data.reference, data.query,
-                                                   config);
-  EXPECT_EQ(one.result.profile, four.result.profile);
-  EXPECT_EQ(one.result.index, four.result.index);
+  ElasticClusterConfig elastic;
+  elastic.nodes = 1;
+  const auto one = compute_matrix_profile_elastic(data.reference, data.query,
+                                                  config, elastic);
+  elastic.nodes = 4;
+  const auto four = compute_matrix_profile_elastic(data.reference,
+                                                   data.query, config,
+                                                   elastic);
+  EXPECT_EQ(one.profile, four.profile);
+  EXPECT_EQ(one.index, four.index);
 }
 
 TEST(Cluster, ComputeTimeShrinksWithNodes) {
   const auto data = small_dataset();
-  ClusterConfig config;
+  mp::MatrixProfileConfig config;
   config.window = 16;
   config.tiles = 16;
-  config.devices_per_node = 2;
+  config.devices = 2;
 
-  config.nodes = 1;
-  const auto one = compute_matrix_profile_cluster(data.reference, data.query,
-                                                  config);
-  config.nodes = 4;
-  const auto four = compute_matrix_profile_cluster(data.reference, data.query,
-                                                   config);
-  EXPECT_LT(four.modeled_compute_seconds,
-            one.modeled_compute_seconds * 0.5);
+  // Stealing off: the modelled makespan groups tiles by the device that
+  // ran them, so it is only deterministic under the static assignment.
+  ElasticClusterConfig elastic;
+  elastic.steal = false;
+  elastic.nodes = 1;
+  const auto one = compute_matrix_profile_elastic(data.reference, data.query,
+                                                  config, elastic);
+  elastic.nodes = 4;
+  const auto four = compute_matrix_profile_elastic(data.reference,
+                                                   data.query, config,
+                                                   elastic);
+  EXPECT_LT(four.modeled_device_seconds, one.modeled_device_seconds * 0.5);
+
   // ...but only multi-node runs pay network time.
-  EXPECT_DOUBLE_EQ(one.modeled_network_seconds, 0.0);
-  EXPECT_GT(four.modeled_network_seconds, 0.0);
+  mp::ModelConfig model;
+  model.spec = gpusim::a100();
+  model.n_r = data.reference.segment_count(16);
+  model.n_q = data.query.segment_count(16);
+  model.dims = data.reference.dims();
+  model.window = 16;
+  model.tiles = 16;
+  model.devices = 2;
+  EXPECT_DOUBLE_EQ(mp::model_cluster(model, 1).network_seconds, 0.0);
+  EXPECT_GT(mp::model_cluster(model, 4).network_seconds, 0.0);
+}
+
+/// A Raven-like cluster node: 4 A100s, n = 2^16 at d = m = 2^6.
+mp::ModelConfig raven_model(std::size_t n, int tiles) {
+  mp::ModelConfig model;
+  model.spec = gpusim::a100();
+  model.n_r = n;
+  model.n_q = n;
+  model.dims = 1 << 6;
+  model.window = 1 << 6;
+  model.tiles = tiles;
+  model.devices = 4;
+  return model;
 }
 
 TEST(ClusterModel, NearLinearScalingAtPaperScale) {
-  // A Raven-like cluster: 4 A100s per node, n=2^16, d=2^6, 64 tiles.
-  ClusterConfig config;
-  config.window = 1 << 6;
-  config.tiles = 64;
-  config.devices_per_node = 4;
-
-  config.nodes = 1;
-  const auto one = model_cluster(1 << 16, 1 << 16, 1 << 6, 1 << 6, config);
-  config.nodes = 4;
-  const auto four = model_cluster(1 << 16, 1 << 16, 1 << 6, 1 << 6, config);
+  const auto model = raven_model(1 << 16, 64);
+  const auto one = mp::model_cluster(model, 1);
+  const auto four = mp::model_cluster(model, 4);
 
   const double speedup = one.total_seconds() / four.total_seconds();
   EXPECT_GT(speedup, 3.0);   // near-linear
@@ -81,46 +103,37 @@ TEST(ClusterModel, NearLinearScalingAtPaperScale) {
 }
 
 TEST(ClusterModel, NetworkCostGrowsLogarithmically) {
-  ClusterConfig config;
-  config.window = 64;
-  config.tiles = 64;
-  config.devices_per_node = 4;
-
-  config.nodes = 2;
-  const double net2 =
-      model_cluster(1 << 16, 1 << 16, 64, 64, config).network_seconds;
-  config.nodes = 8;
-  const double net8 =
-      model_cluster(1 << 16, 1 << 16, 64, 64, config).network_seconds;
+  const auto model = raven_model(1 << 16, 64);
+  const double net2 = mp::model_cluster(model, 2).network_seconds;
+  const double net8 = mp::model_cluster(model, 8).network_seconds;
   // Binomial tree: 1 round at 2 nodes, 3 rounds at 8.
   EXPECT_NEAR(net8 / net2, 3.0, 0.01);
 }
 
 TEST(ClusterModel, InterconnectBandwidthMatters) {
-  ClusterConfig fast;
-  fast.window = 64;
-  fast.tiles = 64;
-  fast.nodes = 8;
-  ClusterConfig slow = fast;
-  slow.interconnect.bandwidth_gbs = 1.0;  // 10 GbE-class
-  const auto f = model_cluster(1 << 18, 1 << 18, 64, 64, fast);
-  const auto s = model_cluster(1 << 18, 1 << 18, 64, 64, slow);
+  const auto model = raven_model(1 << 18, 64);
+  mp::InterconnectSpec slow;
+  slow.bandwidth_gbs = 1.0;  // 10 GbE-class
+  const auto f = mp::model_cluster(model, 8);
+  const auto s = mp::model_cluster(model, 8, slow);
   EXPECT_GT(s.network_seconds, f.network_seconds * 10.0);
   EXPECT_DOUBLE_EQ(s.compute_seconds, f.compute_seconds);
 }
 
 TEST(Cluster, ValidatesConfiguration) {
   const auto data = small_dataset();
-  ClusterConfig config;
+  mp::MatrixProfileConfig config;
   config.window = 16;
-  config.nodes = 0;
-  EXPECT_THROW(
-      compute_matrix_profile_cluster(data.reference, data.query, config),
-      Error);
+  ElasticClusterConfig elastic;
+  elastic.nodes = 2;
+  config.devices = 0;  // a node needs at least one device
+  EXPECT_THROW(compute_matrix_profile_elastic(data.reference, data.query,
+                                              config, elastic),
+               Error);
 }
 
 // ---------------------------------------------------------------------
-// Elastic coordinator: simulated *nodes* running real shard schedulers.
+// Elastic runs: simulated *nodes* as fault domains of the one scheduler.
 // The hard invariant everywhere: bits identical to the single-node run.
 // ---------------------------------------------------------------------
 
@@ -196,6 +209,30 @@ TEST(ElasticCoordinator, NodeCrashRecoversBitIdentically) {
     }
   }
   EXPECT_TRUE(saw_crash_event);
+}
+
+TEST(ElasticCoordinator, NodeCrashFiresOnEveryRepeat) {
+  // Stealing must never drain a node before it starts a tile of its own:
+  // node 1's first tile start is where node_crash@1:at=1 fires, so the
+  // crash has to happen on every run, not just on lucky schedules.
+  const auto data = small_dataset();
+  mp::MatrixProfileConfig config;
+  config.window = 16;
+  config.tiles = 8;
+  config.devices = 2;
+  const auto one =
+      mp::compute_matrix_profile(data.reference, data.query, config);
+
+  ElasticClusterConfig elastic;
+  elastic.nodes = 3;
+  elastic.node_faults = "seed=11,node_crash@1:at=1";
+  for (int repeat = 0; repeat < 50; ++repeat) {
+    const auto result = compute_matrix_profile_elastic(
+        data.reference, data.query, config, elastic);
+    ASSERT_EQ(result.health.node_crashes, 1) << "repeat " << repeat;
+    ASSERT_EQ(result.profile, one.profile) << "repeat " << repeat;
+    ASSERT_EQ(result.index, one.index) << "repeat " << repeat;
+  }
 }
 
 TEST(ElasticCoordinator, SlowNodeIsCoveredByStealOrDuplicate) {

@@ -83,7 +83,7 @@ int run(int argc, char** argv) {
         "  off = bit-exact); --prefilter-budget bounds the acceptable miss\n"
         "  rate, measured by a verify sample and reported as prefilter.*\n"
         "  counters + the prefilter.miss_rate gauge in --metrics-out\n"
-        "multi-node: --nodes=N shards the tile grid across N simulated\n"
+        "multi-node: --nodes=N runs the tile grid across N simulated\n"
         "  nodes (bit-identical to --nodes=1); --steal=off disables\n"
         "  cross-node work stealing; --node-faults injects node-level\n"
         "  chaos (node_crash|node_stall|node_slow, \"@k\" selects a node);\n"
