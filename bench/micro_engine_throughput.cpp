@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/coordinator.hpp"
@@ -15,6 +16,7 @@
 #include "mp/gemm.hpp"
 #include "mp/kernels.hpp"
 #include "mp/matrix_profile.hpp"
+#include "mp/simd/span.hpp"
 #include "mp/sketch.hpp"
 #include "precision/modes.hpp"
 #include "tsdata/synthetic.hpp"
@@ -32,10 +34,9 @@ void BM_DistCalcRow(benchmark::State& state) {
   auto fill = [&](std::vector<ST>& v, double scale) {
     for (auto& x : v) x = ST(rng.normal(0.0, scale));
   };
-  std::vector<ST> qt_row(w * d), qt_col(nr * d), df_r(nr * d), dg_r(nr * d),
-      inv_r(nr * d), df_q(w * d), dg_q(w * d), inv_q(w * d), prev(w * d),
-      next(w * d), dist(w * d);
-  fill(qt_row, 1.0);
+  std::vector<ST> qt_col(nr * d), df_r(nr * d), dg_r(nr * d), inv_r(nr * d),
+      df_q(w * d), dg_q(w * d), inv_q(w * d), prev(w * d), next(w * d),
+      dist(w * d);
   fill(qt_col, 1.0);
   fill(df_r, 0.05);
   fill(dg_r, 0.05);
@@ -45,13 +46,28 @@ void BM_DistCalcRow(benchmark::State& state) {
   fill(inv_q, 0.2);
   fill(prev, 1.0);
 
+  // Per dimension row: column 0 from the column seed, then the SIMD span
+  // (when the dispatch level has one) and the scalar recurrence tail.
+  using CT = typename Traits::Compute;
+  static_assert(std::is_same_v<CT, ST>, "dist_calc_span needs CT == ST");
+  const CT two_m = CT(double(2 * m));
   std::size_t i = 1;
   for (auto _ : state) {
-    dist_calc_body<Traits>(0, std::int64_t(w * d), i, w, m, qt_row.data(),
-                           qt_col.data(), nr, df_r.data(), dg_r.data(),
-                           inv_r.data(), df_q.data(), dg_q.data(),
-                           inv_q.data(), prev.data(), next.data(),
-                           dist.data());
+    for (std::size_t k = 0; k < d; ++k) {
+      const std::size_t row = k * nr + i, xb = k * w;
+      const CT df_ri = df_r[row], dg_ri = dg_r[row], inv_ri = inv_r[row];
+      next[xb] = qt_col[row];
+      dist[xb] = qt_to_distance(next[xb], inv_ri, inv_q[xb], two_m);
+      std::size_t x = xb + 1;
+      x += std::size_t(simd::dist_calc_span<CT>(
+          std::int64_t(w - 1), df_ri, dg_ri, inv_ri, two_m, prev.data() + x - 1,
+          df_q.data() + x, dg_q.data() + x, inv_q.data() + x, next.data() + x,
+          dist.data() + x));
+      for (; x < xb + w; ++x) {
+        next[x] = CT(prev[x - 1] + df_ri * dg_q[x] + dg_ri * df_q[x]);
+        dist[x] = qt_to_distance(next[x], inv_ri, inv_q[x], two_m);
+      }
+    }
     std::swap(prev, next);
     i = i % (nr - 1) + 1;
     benchmark::DoNotOptimize(dist.data());
@@ -61,30 +77,10 @@ void BM_DistCalcRow(benchmark::State& state) {
 }
 
 template <typename Traits>
-void BM_SortScanRow(benchmark::State& state) {
-  // The cooperative path's per-column group bodies (gather + Bitonic +
-  // scan + scatter), over one tile row of w columns at d dimensions.
-  using ST = typename Traits::Storage;
-  const std::size_t w = 4096, d = std::size_t(state.range(0));
-  Rng rng(2);
-  std::vector<ST> dist(w * d), scan(w * d);
-  for (auto& x : dist) x = ST(rng.uniform(0.0, 10.0));
-  for (auto _ : state) {
-    for (std::size_t j = 0; j < w; ++j) {
-      gpusim::GroupContext group{std::int64_t(j), std::int64_t(d)};
-      sort_scan_group_body<Traits>(group, w, d, dist.data(), scan.data());
-    }
-    benchmark::DoNotOptimize(scan.data());
-  }
-  state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                          std::int64_t(w * d));
-}
-
-template <typename Traits>
 void BM_FusedSortScan(benchmark::State& state) {
-  // The fused path's image of the same work: row-wise copy of the
-  // distance rows into the transposed column block, pad, block sort/scan,
-  // row-wise copy out — what replaces the per-column group bodies above.
+  // The sort_&_incl_scan stage of the row pipeline over one tile row of
+  // w columns: row-wise copy of the distance rows into the transposed
+  // column block, pad, block sort/scan, row-wise copy out.
   using ST = typename Traits::Storage;
   const std::size_t w = 4096, d = std::size_t(state.range(0));
   const std::size_t p2 = next_pow2(d);
@@ -120,9 +116,8 @@ void BM_FusedSortScan(benchmark::State& state) {
 
 template <typename Traits>
 void BM_FusedRow(benchmark::State& state) {
-  // One full fused tile row: dist_calc recurrence + block sort/scan +
-  // profile merge in a single pass (what the fused engine runs per row,
-  // replacing BM_DistCalcRow + BM_SortScanRow + the update sweep).
+  // One full tile row: dist_calc recurrence + block sort/scan + profile
+  // merge in a single pass (what the engine runs per unbatched row).
   using ST = typename Traits::Storage;
   const std::size_t w = 4096, d = std::size_t(state.range(0)), nr = 4096,
                     m = 64;
@@ -426,10 +421,10 @@ BENCHMARK(BM_DistCalcRow<F32>);
 BENCHMARK(BM_DistCalcRow<F16>);
 BENCHMARK(BM_DistCalcRow<BF16>);
 BENCHMARK(BM_DistCalcRow<TF32>);
-BENCHMARK(BM_SortScanRow<F64>)->Arg(2)->Arg(3)->Arg(4)->Arg(6)->Arg(8);
-BENCHMARK(BM_SortScanRow<F16>)->Arg(2)->Arg(3)->Arg(4)->Arg(6)->Arg(8);
-BENCHMARK(BM_FusedSortScan<F64>)->Arg(2)->Arg(3)->Arg(4)->Arg(6)->Arg(8);
-BENCHMARK(BM_FusedSortScan<F16>)->Arg(2)->Arg(3)->Arg(4)->Arg(6)->Arg(8);
+BENCHMARK(BM_FusedSortScan<F64>)
+    ->Arg(2)->Arg(3)->Arg(4)->Arg(6)->Arg(8)->Arg(128);
+BENCHMARK(BM_FusedSortScan<F16>)
+    ->Arg(2)->Arg(3)->Arg(4)->Arg(6)->Arg(8)->Arg(128);
 BENCHMARK(BM_FusedRow<F64>)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_FusedRow<F32>)->Arg(2)->Arg(4)->Arg(8);
 BENCHMARK(BM_FusedRow<F16>)->Arg(2)->Arg(4)->Arg(8);

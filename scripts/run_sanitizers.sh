@@ -32,10 +32,22 @@ run_one() {
   # the dispatch bit-equality suite once per MPSIM_SIMD level so the env
   # request path and every kernel variant sit under the sanitizer (the
   # level clamps to the host, so this is safe on any machine).
+  # The wide-d goldens join them: d = 65..2100 sizes the per-lane NaN
+  # scratch from d and, past next_pow2(d) = 2048, moves the row pipeline's
+  # column block to per-thread heap scratch.
   for level in scalar f16c avx2; do
     MPSIM_SIMD=$level "$dir"/tests/test_simd_dispatch \
         --gtest_filter='SimdDispatchEquality.PaperModesNanPoisoned:SimdDispatchEquality.BatchedVersusUnbatchedRows'
+    MPSIM_SIMD=$level "$dir"/tests/test_golden \
+        --gtest_filter='GoldenChecksums.WideDims*'
   done
+  if [ "$kind" = address ]; then
+    # Scalar against every host level at d = 300 (BF16) and d = 2100
+    # (FP16): the vector scans' storage-rounded divisors and the heap
+    # block under ASan's bounds checks.
+    "$dir"/tests/test_simd_dispatch \
+        --gtest_filter='SimdDispatchEquality.*WideScanDivisor'
+  fi
   if [ "$kind" = thread ]; then
     # Hammer the lock-free metrics registry beyond the single CTest pass:
     # repeated runs of the concurrent-recording tests give TSan many more

@@ -58,7 +58,7 @@ struct ElasticClusterConfig {
 
 /// Computes the matrix profile across `cluster.nodes` simulated nodes.
 /// Output (profile/index bytes) is identical to the single-node run for
-/// every precision mode and row path.  Throws InterruptedError after
+/// every precision mode.  Throws InterruptedError after
 /// flushing the journal when a shutdown request (or a kill_after_tiles /
 /// kill_after_slices chaos kill) stops the run early.
 mp::MatrixProfileResult compute_matrix_profile_elastic(

@@ -89,7 +89,7 @@ void CliArgs::check_known(std::initializer_list<const char*> known) const {
     (void)value;
     const bool ok = std::any_of(known.begin(), known.end(),
                                 [&](const char* k) { return name == k; });
-    MPSIM_CHECK(ok, "unknown flag --" << name);
+    if (!ok) throw ConfigError("unknown flag --" + name);
   }
 }
 

@@ -1,7 +1,5 @@
 // Kernel-launch API of the simulated device.
 //
-// Two launch shapes cover everything the paper's four kernels need:
-//
 //  * launch_grid_stride — an embarrassingly parallel kernel over an index
 //    space [0, n).  On hardware each logical thread strides by
 //    grid*block over the space ("grid-stride loop", §III-A); in the
@@ -9,18 +7,15 @@
 //    device's worker pool, which preserves exactly the per-element
 //    computation (there are no inter-element dependencies by contract).
 //
-//  * launch_cooperative — groups of threads that cooperate with barriers
-//    (the Bitonic sort + inclusive-scan kernel, §III-A "coarse-grained
-//    synchronization" via cooperative groups).  Each group's body receives
-//    a GroupContext whose for_each_lane() runs the per-lane work of one
-//    stage and whose barrier() separates stages.  Lanes of a stage must
-//    write disjoint locations (true for Bitonic compare-exchange networks
-//    and fan-in scans), so sequential in-group execution is semantically
-//    identical to lockstep execution with barriers.  Barrier rounds are
-//    counted and fed to the roofline model's synchronisation term.
+//  * record_fused_launch — the ledger record of a logical kernel that a
+//    host pass executed as part of a larger fused body (the per-row
+//    dist_calc / sort_&_incl_scan / update_mat_prof triple).  The
+//    cooperative sort's group barriers (§III-A "coarse-grained
+//    synchronization") are not executed; their rounds are a closed form
+//    the caller fills in, fed to the roofline model's synchronisation term.
 //
-// Both shapes record their KernelCost and modelled time in the device
-// ledger, and optionally run asynchronously on a Stream.
+// Launches record their KernelCost and modelled time in the device ledger,
+// and optionally run asynchronously on a Stream.
 #pragma once
 
 #include <cstdint>
@@ -62,32 +57,6 @@ struct LaunchConfig {
   }
 };
 
-/// Context handed to each cooperative group's body.
-class GroupContext {
- public:
-  GroupContext(std::int64_t group_index, std::int64_t lane_count)
-      : group_index_(group_index), lane_count_(lane_count) {}
-
-  std::int64_t group_index() const { return group_index_; }
-  std::int64_t lane_count() const { return lane_count_; }
-
-  /// Runs fn(lane) for every lane of the group (one parallel stage).
-  template <typename Fn>
-  void for_each_lane(Fn&& fn) {
-    for (std::int64_t lane = 0; lane < lane_count_; ++lane) fn(lane);
-  }
-
-  /// Group-wide synchronisation point between stages.
-  void barrier() { ++barriers_; }
-
-  std::int64_t barrier_count() const { return barriers_; }
-
- private:
-  std::int64_t group_index_;
-  std::int64_t lane_count_;
-  std::int64_t barriers_ = 0;
-};
-
 namespace detail {
 
 inline void record_launch(Device& device, const std::string& name,
@@ -102,12 +71,11 @@ inline void record_launch(Device& device, const std::string& name,
 
 }  // namespace detail
 
-/// Validates that a cooperative launch's per-group scratchpad fits the
+/// Validates that a cooperative kernel's per-group scratchpad fits the
 /// device's shared memory: groups resident per SM = resident threads /
 /// lanes, all holding their buffers simultaneously.  Throws like a failed
-/// CUDA launch otherwise.  Shared by launch_cooperative and the engine's
-/// fused row pipeline, which replaces the launch but models (and must
-/// reject) the same kernel.
+/// CUDA launch otherwise.  The engine's row pipeline runs the sort on the
+/// host but models (and must reject) the same kernel.
 inline void validate_group_shared_mem(const Device& device,
                                       const std::string& name,
                                       std::int64_t lane_count,
@@ -127,13 +95,12 @@ inline void validate_group_shared_mem(const Device& device,
 }
 
 /// Records a logical kernel launch that was executed as part of a fused
-/// host pass rather than through launch_grid_stride/launch_cooperative:
-/// the ledger entry (modeled seconds from `cost`, measured share of the
-/// fused pass's wall clock) is indistinguishable from an unfused launch,
-/// which keeps perf-model figures and metrics/trace span shapes stable
-/// across execution paths.  `cost.barrier_rounds` must be pre-filled by
-/// the caller for cooperative kernels (the fused pass runs no simulated
-/// barriers to measure).
+/// host pass rather than through launch_grid_stride: the ledger entry
+/// (modeled seconds from `cost`, measured share of the fused pass's wall
+/// clock) has the shape of a standalone launch, so perf-model figures and
+/// metrics/trace spans keep one record per logical kernel.
+/// `cost.barrier_rounds` must be pre-filled by the caller for cooperative
+/// kernels (the fused pass runs no barriers to measure).
 inline void record_fused_launch(Device& device, const std::string& name,
                                 const LaunchConfig& config, KernelCost cost,
                                 KernelLedger* extra_ledger,
@@ -166,58 +133,6 @@ inline void launch_grid_stride(
         std::size_t(n), [&body](std::size_t begin, std::size_t end) {
           body(std::int64_t(begin), std::int64_t(end));
         });
-    detail::record_launch(device, name, cost, extra_ledger, watch.seconds());
-  };
-  if (stream != nullptr) {
-    stream->enqueue(std::move(run));
-  } else {
-    run();
-  }
-}
-
-/// Launches a cooperative kernel with `group_count` groups of `lane_count`
-/// lanes.  `cost.barrier_rounds` should be left zero: the actual number of
-/// device-wide barrier rounds is measured from the groups' barrier() calls
-/// (max across groups, as groups of one round synchronise concurrently).
-/// `shared_bytes_per_group` models the scratchpad the group's sort/scan
-/// buffers occupy (§IV "exploit shared memory in thread block"); a launch
-/// whose resident groups cannot fit in an SM's shared memory is rejected,
-/// exactly as a CUDA launch would fail.
-inline void launch_cooperative(
-    Device& device, Stream* stream, const std::string& name,
-    LaunchConfig config, std::int64_t group_count, std::int64_t lane_count,
-    KernelCost cost, std::function<void(GroupContext&)> body,
-    KernelLedger* extra_ledger = nullptr,
-    std::size_t shared_bytes_per_group = 0,
-    const CancellationToken* cancel = nullptr) {
-  validate_group_shared_mem(device, name, lane_count, shared_bytes_per_group);
-  cost.occupancy = config.occupancy(device.spec());
-  auto run = [&device, name, cost, group_count, lane_count,
-              body = std::move(body), extra_ledger, cancel]() mutable {
-    if (cancel != nullptr) cancel->poll(name.c_str());
-    device.fault_point(FaultSite::kKernelLaunch, name, cancel);
-    Stopwatch watch;
-    std::atomic<std::int64_t> max_barriers{0};
-    device.pool().parallel_for(
-        std::size_t(group_count),
-        [&](std::size_t begin, std::size_t end) {
-          std::int64_t local_max = 0;
-          for (std::size_t g = begin; g < end; ++g) {
-            GroupContext ctx(std::int64_t(g), lane_count);
-            body(ctx);
-            local_max = std::max(local_max, ctx.barrier_count());
-          }
-          std::int64_t seen = max_barriers.load();
-          while (local_max > seen &&
-                 !max_barriers.compare_exchange_weak(seen, local_max)) {
-          }
-        });
-    // Device-wide synchronisation repeats once per occupancy wave: a
-    // launch with more logical threads than the device holds resident
-    // pays its barrier rounds once per wave (mirrored in mp/model.cpp).
-    cost.barrier_rounds =
-        max_barriers.load() *
-        device.spec().wave_count(group_count * lane_count);
     detail::record_launch(device, name, cost, extra_ledger, watch.seconds());
   };
   if (stream != nullptr) {

@@ -64,7 +64,7 @@ struct CheckpointData {
 
 /// Hash of everything that determines the run's output bits: the raw
 /// series samples and the shape/precision configuration.  Knobs that
-/// cannot change the output (row path, device count, node count, tile
+/// cannot change the output (device count, node count, tile
 /// grid, resilience policy) are deliberately excluded so a resumed run
 /// may use a different machine shape — or a different grid — than the
 /// interrupted one.

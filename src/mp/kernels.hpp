@@ -58,201 +58,25 @@ CT qt_to_distance(CT qt, CT inv_r, CT inv_q, CT two_m) {
 // bodies below call the typed span gates of mp/simd/span.hpp and keep
 // their scalar loops as the tail / fallback, so every mode works — and is
 // bit-identical — at every dispatch level.
-static_assert(simd::kMaxSortRows == 64,
-              "mp/simd scratch sizing must cover kMaxFusedRowDims");
 
-/// dist_calc, Eq. (1): computes elements [begin, end) of row i of the
-/// distance matrix (elements indexed e = k*w + j over w columns and d
-/// dimensions).  Reads the previous QT row, writes the next QT row and the
-/// distance row.
-///
-/// Iterates per-dimension row spans: the k-dependent operands (df_r, dg_r,
-/// inv_r at k*nr+i) and the e/w, e%w bookkeeping are hoisted out of the
-/// element loop, leaving a streaming inner loop over contiguous indices
-/// whose float/double instantiations autovectorize.  The arithmetic — per
-/// element, per operation, in order — is unchanged, so every precision
-/// mode's output is bit-identical to the element-at-a-time formulation.
-template <typename Traits>
-void dist_calc_body(std::int64_t begin, std::int64_t end, std::size_t i,
-                    std::size_t w, std::size_t m,
-                    const typename Traits::Storage* MPSIM_RESTRICT
-                        qt_row_seed,  // [k*w+j]
-                    const typename Traits::Storage* MPSIM_RESTRICT
-                        qt_col_seed,  // [k*nr+i]
-                    std::size_t nr,
-                    const typename Traits::Storage* MPSIM_RESTRICT df_r,
-                    const typename Traits::Storage* MPSIM_RESTRICT dg_r,
-                    const typename Traits::Storage* MPSIM_RESTRICT inv_r,
-                    const typename Traits::Storage* MPSIM_RESTRICT df_q,
-                    const typename Traits::Storage* MPSIM_RESTRICT dg_q,
-                    const typename Traits::Storage* MPSIM_RESTRICT inv_q,
-                    const typename Traits::Storage* MPSIM_RESTRICT qt_prev,
-                    typename Traits::Storage* MPSIM_RESTRICT qt_next,
-                    typename Traits::Storage* MPSIM_RESTRICT dist_row) {
-  using CT = typename Traits::Compute;
-  using ST = typename Traits::Storage;
-
-  const CT two_m = CT(double(2 * m));
-  std::size_t k = std::size_t(begin) / w;
-  std::int64_t e = begin;
-  while (e < end) {
-    const auto span_end =
-        std::min<std::int64_t>(end, std::int64_t((k + 1) * w));
-    const std::size_t row = k * nr + i;
-    const CT inv_ri = CT(inv_r[row]);
-    if (i == 0) {
-      // First tile row: QT comes straight from the row seeds.
-      for (std::int64_t x = e; x < span_end; ++x) {
-        const CT qt = CT(qt_row_seed[x]);
-        qt_next[x] = ST(qt);
-        dist_row[x] = ST(qt_to_distance(qt, inv_ri, CT(inv_q[x]), two_m));
-      }
-    } else {
-      const CT df_ri = CT(df_r[row]);
-      const CT dg_ri = CT(dg_r[row]);
-      std::int64_t x = e;
-      if (std::size_t(x) % w == 0) {
-        // Column 0 of this dimension: QT comes from the column seeds.
-        const CT qt = CT(qt_col_seed[row]);
-        qt_next[x] = ST(qt);
-        dist_row[x] = ST(qt_to_distance(qt, inv_ri, CT(inv_q[x]), two_m));
-        ++x;
-      }
-      // Streaming-dot-product recurrence over the rest of the span.  The
-      // SIMD span handles the Compute == Storage modes (all but Mixed)
-      // when the dispatch level allows; the scalar loop finishes the tail.
-      if constexpr (std::is_same_v<CT, ST>) {
-        x += simd::dist_calc_span<CT>(span_end - x, df_ri, dg_ri, inv_ri,
-                                      two_m, qt_prev + x - 1, df_q + x,
-                                      dg_q + x, inv_q + x, qt_next + x,
-                                      dist_row + x);
-      }
-      for (; x < span_end; ++x) {
-        const CT qt = CT(qt_prev[x - 1]) + df_ri * CT(dg_q[x]) +
-                      dg_ri * CT(df_q[x]);
-        qt_next[x] = ST(qt);
-        dist_row[x] = ST(qt_to_distance(qt, inv_ri, CT(inv_q[x]), two_m));
-      }
-    }
-    e = span_end;
-    ++k;
-  }
-}
-
-/// sort_&_incl_scan, Eq. (2), for one column group: gathers the d
-/// distances of column j, Bitonic-sorts them ascending (padded to the next
-/// power of two with +inf), then computes the progressive inclusive
-/// average.  Barriers are reported through the GroupContext.
-template <typename Traits>
-void sort_scan_group_body(gpusim::GroupContext& group, std::size_t w,
-                          std::size_t d,
-                          const typename Traits::Storage* dist_row,
-                          typename Traits::Storage* scan_row) {
-  using ST = typename Traits::Storage;
-  const std::size_t j = std::size_t(group.group_index());
-  const std::size_t p2 = next_pow2(d);
-
-  // Thread-local shared-memory analogue: reused across groups a worker
-  // executes, sized for the padded problem.  Only the padded tail of
-  // `values` needs initialising (the gather overwrites [0, d), and the
-  // scan writes every scratch element it later reads), so per-group work
-  // is the d + (p2 - d) stores below, not 2*p2 assignments.
-  thread_local std::vector<ST> values;
-  thread_local std::vector<ST> scratch;
-  if (values.size() < p2) values.resize(p2);
-  if (scratch.size() < p2) scratch.resize(p2);
-
-  for (std::size_t k = 0; k < d; ++k) values[k] = dist_row[k * w + j];
-  for (std::size_t k = d; k < p2; ++k) {
-    values[k] = std::numeric_limits<ST>::infinity();
-  }
-  group.barrier();  // gather complete
-
-  bitonic_sort(values.data(), p2, [&group] { group.barrier(); });
-  inclusive_scan_average(values.data(), scratch.data(), d,
-                         [&group] { group.barrier(); });
-
-  for (std::size_t k = 0; k < d; ++k) scan_row[k * w + j] = values[k];
-}
-
-/// update_mat_prof, Eq. (3): merges row i of the scanned distances into
-/// the running profile (column-wise min / argmin).  Strict less-than keeps
-/// the earliest row on ties.  `exclusion` > 0 skips trivial self-join
-/// matches with |row - column| < exclusion (global segment indices).
-///
-/// The exclusion zone of a row is one contiguous column interval, so it is
-/// resolved to index bounds once per dimension span (no per-element div /
-/// mod / abs), and the merge loop itself is two selects with unconditional
-/// stores — each chunk owns its elements exclusively — which vectorizes
-/// for the native storage types.
-template <typename Traits>
-void update_body(std::int64_t begin, std::int64_t end, std::size_t w,
-                 std::int64_t global_row, std::int64_t q_begin,
-                 std::int64_t exclusion,
-                 const typename Traits::Storage* MPSIM_RESTRICT scan_row,
-                 typename Traits::Storage* MPSIM_RESTRICT profile,
-                 std::int64_t* MPSIM_RESTRICT index) {
-  const auto wi = std::int64_t(w);
-  auto merge = [&](std::int64_t from, std::int64_t to) {
-    for (std::int64_t e = from; e < to; ++e) {
-      // NaN distances (possible after FP16 overflow) never win: the
-      // comparison below is false for NaN.
-      const bool better = scan_row[e] < profile[e];
-      profile[e] = better ? scan_row[e] : profile[e];
-      index[e] = better ? global_row : index[e];
-    }
-  };
-  std::int64_t e = begin;
-  while (e < end) {
-    const std::int64_t k = e / wi;
-    const std::int64_t row_end = std::min(end, (k + 1) * wi);
-    if (exclusion > 0) {
-      // Excluded columns: |global_row - (q_begin + j)| < exclusion, i.e.
-      // j in [g - exclusion + 1, g + exclusion - 1] with g relative to
-      // this tile's columns.
-      const std::int64_t g = global_row - q_begin;
-      const std::int64_t base = k * wi;
-      const std::int64_t ex_begin =
-          std::clamp(base + g - exclusion + 1, e, row_end);
-      const std::int64_t ex_end =
-          std::clamp(base + g + exclusion, e, row_end);
-      merge(e, ex_begin);
-      merge(ex_end, row_end);
-    } else {
-      merge(e, row_end);
-    }
-    e = row_end;
-  }
-}
-
-// --- Fused row pipeline ---------------------------------------------------
+// --- Row pipeline ---------------------------------------------------------
 //
-// The cooperative path above makes three full sweeps over nq*d per tile
-// row (dist_calc -> sort_&_incl_scan -> update_mat_prof), bouncing the
-// distance and scan rows through device buffers and paying a simulated
-// group barrier per Bitonic stage per column.  The fused path processes a
-// block of columns end-to-end in one pass: distances land in a
-// stack-resident transposed block, the Bitonic network and Hillis–Steele
-// scan-average run ROW-WISE across the block (a network stage becomes an
-// elementwise select over two contiguous rows, which autovectorizes for
-// the native storage types), and the min/argmin merge follows immediately
-// while the block is cache-hot.  Columns are independent in every stage,
-// so batching them per stage performs the exact scalar operation sequence
-// of sort_scan_column on each column — bit-identical by construction.
+// One tile row performs the paper's three per-row kernels — dist_calc,
+// sort_&_incl_scan, update_mat_prof — in one pass over a block of columns:
+// distances land in a transposed column block, the Bitonic network and
+// Hillis–Steele scan-average run ROW-WISE across the block (a network
+// stage becomes an elementwise select over two contiguous rows, which
+// autovectorizes for the native storage types), and the min/argmin merge
+// follows immediately while the block is cache-hot.  Columns are
+// independent in every stage, so batching them per stage performs the
+// exact scalar operation sequence of sort_scan_column on each column, and
+// the block width never moves a bit.
 
-/// Dimension cap of the fused path (p2 <= 64 keeps the column block and
-/// the per-column scratch on the stack).  Larger d falls back to the
-/// cooperative path.
-inline constexpr std::size_t kMaxFusedRowDims = 64;
-
-/// Stack budget of the fused column block, in elements: next_pow2(d) rows
-/// of kFusedBlockElems / next_pow2(d) columns.
+/// Stack budget of the row pipeline's column block, in elements:
+/// next_pow2(d) rows of kFusedBlockElems / next_pow2(d) columns.  Wider
+/// columns (next_pow2(d) > kFusedBlockElems) run one column at a time on
+/// per-thread heap scratch.
 inline constexpr std::size_t kFusedBlockElems = 2048;
-
-// The SIMD layer's column scratch (per-lane NaN fallbacks) is sized for
-// this dimension cap.
-static_assert(kMaxFusedRowDims == simd::kMaxSortRows,
-              "mp/simd scratch sizing must cover kMaxFusedRowDims");
 
 namespace detail {
 
@@ -352,7 +176,7 @@ void sort_scan_rows(T* blk, std::size_t bstride, std::size_t bn,
 /// Sort + progressive average of a column block in transposed layout
 /// (blk[k*bstride + jj], dimension row k, block column jj): each column
 /// experiences exactly sort_scan_column's operation sequence, so the
-/// result is bit-identical to the cooperative per-column kernel.  Rows
+/// result is bit-identical to sorting and scanning column by column.  Rows
 /// [d, next_pow2(d)) must be pre-padded with +inf by the caller, and
 /// d must be >= 2 (the engine elides the sort kernel for d == 1).
 template <typename ST>
@@ -368,8 +192,8 @@ void sort_scan_block(ST* blk, std::size_t bstride, std::size_t bn,
     // gather each padded column, run the fixed network, scatter the
     // averages.
     const std::size_t p2 = next_pow2(d);
+    ST* const vals = column_scratch<ST>(p2);
     for (std::size_t jj = 0; jj < bn; ++jj) {
-      ST vals[kMaxFusedRowDims];
       for (std::size_t l = 0; l < p2; ++l) vals[l] = blk[l * bstride + jj];
       sort_scan_column(vals, d);
       for (std::size_t l = 0; l < d; ++l) blk[l * bstride + jj] = vals[l];
@@ -377,13 +201,12 @@ void sort_scan_block(ST* blk, std::size_t bstride, std::size_t bn,
   }
 }
 
-/// Fused per-row pipeline over columns [begin, end): Eq. (1) recurrence +
-/// distances into a stack block, Eq. (2) block sort/scan, Eq. (3) merge —
-/// one pass, no device-buffer round-trips, no simulated group barriers.
+/// Row pipeline over columns [begin, end) of tile row i: Eq. (1)
+/// recurrence + distances into a column block, Eq. (2) block sort/scan,
+/// Eq. (3) min/argmin merge — one pass, no device-buffer round-trips.
 /// Chunks partition the COLUMN range, so qt_next / profile / index writes
-/// are disjoint across chunks in every dimension row.  Per element and
-/// per operation the arithmetic (and its order) matches dist_calc_body ->
-/// sort_scan_group_body -> update_body exactly; see each pass for why.
+/// are disjoint across chunks in every dimension row.  Strict < in the
+/// merge keeps NaN distances out and the earliest row on ties.
 template <typename Traits>
 void fused_row_body(
     std::int64_t begin, std::int64_t end, std::size_t i, std::size_t w,
@@ -403,23 +226,29 @@ void fused_row_body(
     std::int64_t* MPSIM_RESTRICT index) {
   using CT = typename Traits::Compute;
   using ST = typename Traits::Storage;
-  MPSIM_CHECK(d >= 1 && d <= kMaxFusedRowDims,
-              "fused_row_body: d out of range");
+  MPSIM_CHECK(d >= 1, "fused_row_body: d out of range");
 
   const CT two_m = CT(double(2 * m));
   const std::size_t p2 = next_pow2(d);
-  const std::size_t bcols = kFusedBlockElems / p2;
+  const std::size_t bcols = std::max<std::size_t>(1, kFusedBlockElems / p2);
   const ST inf = std::numeric_limits<ST>::infinity();
   const std::int64_t g = global_row - q_begin;
-  alignas(32) ST blk[kFusedBlockElems];
+  alignas(32) ST stack_blk[kFusedBlockElems];
+  ST* blk = stack_blk;
+  if (p2 > kFusedBlockElems) {
+    static thread_local std::vector<ST> heap_blk;
+    if (heap_blk.size() < p2) heap_blk.resize(p2);
+    blk = heap_blk.data();
+  }
 
   for (std::int64_t j0 = begin; j0 < end; j0 += std::int64_t(bcols)) {
     const std::int64_t j1 = std::min<std::int64_t>(end, j0 + std::int64_t(bcols));
     const std::size_t bn = std::size_t(j1 - j0);
 
-    // Pass 1 — dist_calc: same per-dimension span structure (and hence
-    // the same scalar/vector op sequence per element) as dist_calc_body;
-    // only the distance sink differs (stack block instead of dist_row).
+    // Pass 1 — dist_calc: per dimension row, the first tile row takes QT
+    // from the row seeds and column 0 from the column seeds; the rest is
+    // the streaming-dot-product recurrence (SIMD span when Compute ==
+    // Storage, scalar loop for the tail and for Mixed).
     for (std::size_t k = 0; k < d; ++k) {
       ST* MPSIM_RESTRICT dblk = blk + k * bcols;
       const std::size_t xbase = k * w;
@@ -459,8 +288,8 @@ void fused_row_body(
       }
     }
 
-    // Pass 2 — sort_&_incl_scan (elided for d == 1, matching the
-    // engine's skip_sort kernel elision).
+    // Pass 2 — sort_&_incl_scan (elided for d == 1: sorting and averaging
+    // one value per column is the identity).
     if (d >= 2) {
       for (std::size_t k = d; k < p2; ++k) {
         ST* MPSIM_RESTRICT pad = blk + k * bcols;
@@ -469,8 +298,9 @@ void fused_row_body(
       sort_scan_block(blk, bcols, bn, d);
     }
 
-    // Pass 3 — update_mat_prof: same selects as update_body's merge,
-    // with the row's exclusion interval clipped to this block.
+    // Pass 3 — update_mat_prof: branch-free selects, skipping the row's
+    // self-join exclusion interval |row - column| < exclusion clipped to
+    // this block.
     std::int64_t exb = j1, exe = j1;
     if (exclusion > 0) {
       exb = std::clamp<std::int64_t>(g - exclusion + 1, j0, j1);
@@ -556,9 +386,9 @@ void qt_only_row_body(
   }
 }
 
-// --- Diagonal-batched fused execution -------------------------------------
+// --- Diagonal-batched row execution ---------------------------------------
 //
-// The fused path above dispatches one parallel_for per tile row, so a tile
+// fused_row_body above runs under one parallel_for per tile row, so a tile
 // with small nq pays the per-item dispatch overhead (~87 M items/s on the
 // simulated device) once per row — the dominant cost when nq is a few
 // hundred columns.  The batched executor processes BT consecutive tile
@@ -575,7 +405,7 @@ void qt_only_row_body(
 // sort/scan into a per-batch scan buffer.  The last row's QT goes straight
 // to the tile's qt_next buffer (one swap per BATCH instead of per row).
 // Phase B merges the BT scanned rows into the profile, parallel over
-// COLUMNS, rows in ascending order — preserving update_body's
+// COLUMNS, rows in ascending order — preserving the per-row merge's
 // earliest-row-wins tie rule exactly.  Per element and per operation both
 // phases replay the unbatched fused pipeline's arithmetic, so the output
 // is bit-identical for every mode and dispatch level.
@@ -600,8 +430,7 @@ void batched_rows_phase_a(
     typename Traits::Storage* batch_scan) {
   using CT = typename Traits::Compute;
   using ST = typename Traits::Storage;
-  MPSIM_CHECK(bt >= 2 && d >= 1 && d <= kMaxFusedRowDims,
-              "batched_rows_phase_a: bad batch shape");
+  MPSIM_CHECK(bt >= 2 && d >= 1, "batched_rows_phase_a: bad batch shape");
 
   const CT two_m = CT(double(2 * m));
   const std::size_t p2 = next_pow2(d);
@@ -686,7 +515,7 @@ void batched_rows_phase_a(
     }
 
     // Row-wise sort + scan-average over this band's columns (elided for
-    // d == 1, matching the engine's skip_sort kernel elision).  Columns
+    // d == 1, like fused_row_body's pass 2).  Columns
     // are independent, so the per-band grouping leaves results identical
     // to the unbatched block sweep.
     if (d >= 2) {
@@ -747,10 +576,10 @@ void batched_rows_merge(std::int64_t c0, std::int64_t c1, std::size_t bt,
 // --- Roofline cost descriptors --------------------------------------------
 
 /// Device-wide cooperative barrier rounds one sort_&_incl_scan launch
-/// performs: 1 after the gather, one per Bitonic stage (O(log^2 d)), two
-/// per fan-in scan step (O(log d)).  The cooperative launch measures this
-/// from the group bodies; the analytic performance model (mp/model.hpp)
-/// uses this closed form — a test pins them equal.
+/// performs on hardware: 1 after the gather, one per Bitonic stage
+/// (O(log^2 d)), two per fan-in scan step (O(log d)).  Modelled, not
+/// measured: the host executes no barriers, so the engine's ledger and the
+/// analytic performance model (mp/model.hpp) both charge this closed form.
 inline std::int64_t sort_scan_barrier_rounds(std::size_t d) {
   const std::size_t p2 = next_pow2(d);
   return 1 + bitonic_stage_count(p2) + 2 * scan_step_count(d);

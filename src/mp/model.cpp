@@ -32,7 +32,7 @@ TileModel model_tile(const gpusim::MachineSpec& spec, const Tile& tile,
   out.kernel_seconds += pre;
 
   // Main loop: nr iterations of the three kernels.  Barrier rounds repeat
-  // once per occupancy wave, mirroring launch_cooperative's accounting.
+  // once per occupancy wave, as the engine's sort records charge them.
   // The engine skips sort_&_incl_scan entirely for d == 1 (identity).
   auto sort = sort_scan_cost<Traits>(nq, d);
   sort.barrier_rounds =

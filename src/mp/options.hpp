@@ -21,35 +21,10 @@ class StagingCache;
 /// imbalance it observes at odd device counts.
 enum class TileAssignment { kRoundRobin, kLpt };
 
-/// Execution path of the single-tile engine's per-row pipeline.
-///
-///  * kCooperative — three separate kernels per tile row (dist_calc,
-///    cooperative sort_&_incl_scan, update_mat_prof), distance and scan
-///    rows round-tripping through device buffers.  The literal Pseudocode
-///    1 structure.
-///  * kFused — one column-blocked pass per row computing distances, the
-///    small-d Bitonic network + scan-average, and the profile merge while
-///    the block is register/cache resident.  Bit-identical outputs; the
-///    three logical kernels are still modeled and recorded individually.
-///  * kAuto — fused whenever the dimensionality supports it (the default).
-enum class RowPath { kAuto, kFused, kCooperative };
-
-inline std::string to_string(RowPath path) {
-  switch (path) {
-    case RowPath::kAuto: return "auto";
-    case RowPath::kFused: return "fused";
-    case RowPath::kCooperative: return "cooperative";
-  }
-  return "auto";
-}
-
-inline RowPath parse_row_path(const std::string& name) {
-  if (name == "auto") return RowPath::kAuto;
-  if (name == "fused") return RowPath::kFused;
-  if (name == "cooperative") return RowPath::kCooperative;
-  throw ConfigError("unknown row path '" + name +
-                    "' (expected auto|fused|cooperative)");
-}
+/// Per-row execution path of the single-tile engine.  There is one: the
+/// column-blocked row pipeline (kernels.hpp, fused_row_body).  The type
+/// stays because perfbench/driver/jobs.cpp forwards it to enqueue.
+enum class RowPath { kFused };
 
 /// Candidate prefilter in front of the exact per-row pipeline.
 ///
@@ -217,13 +192,13 @@ struct MatrixProfileConfig {
   /// Host worker threads backing the simulated devices (0 = all cores).
   std::size_t workers = 0;
 
-  /// Per-row execution path of the tile engine (see RowPath).  Outputs are
-  /// bit-identical across paths; this is a performance/debugging knob.
-  RowPath row_path = RowPath::kAuto;
+  /// Per-row execution path of the tile engine; kFused is the only one
+  /// (perfbench/driver/jobs.cpp forwards it to SingleTileEngine::enqueue).
+  RowPath row_path = RowPath::kFused;
 
   /// Approximate candidate prefilter (off by default; kSketch trades a
   /// bounded miss rate for skipped per-row work — see PrefilterConfig).
-  /// Unlike row_path/simd this CAN change results, so it participates in
+  /// Unlike simd this CAN change results, so it participates in
   /// the checkpoint/serve-cache fingerprint.
   PrefilterConfig prefilter;
 

@@ -52,11 +52,6 @@
 
 namespace mpsim::mp::simd {
 
-/// Row cap shared with the fused row pipeline: the block scans gather at
-/// most this many dimension rows per column into stack scratch.  kernels.hpp
-/// static_asserts its kMaxFusedRowDims equals this.
-inline constexpr std::size_t kMaxSortRows = 64;
-
 /// Dispatch level, ordered: a request of level L enables every kernel of
 /// level <= L (subject to the hardware probe).
 enum Level { kScalar = 0, kF16C = 1, kAvx2 = 2 };

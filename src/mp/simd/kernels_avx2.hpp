@@ -33,7 +33,7 @@
 // boundary and all element access inside happens through may_alias
 // intrinsic loads/stores, so no strict-aliasing violation occurs.  Scalar
 // tails live in span.hpp OUTSIDE this target region, keeping every scalar
-// operation on the exact same code path the cooperative kernels use.
+// operation on the exact same code path the scalar dispatch level uses.
 #pragma once
 
 #include <cstdint>
@@ -189,10 +189,10 @@ inline unsigned scan_nan_lanes_soft(int shift, const std::uint32_t* blk,
 }
 
 /// Vector scan-average of one 8-column group of a sorted soft block:
-/// Hillis–Steele adds high-to-low, then divide row l by l+1 (exact in
-/// binary32 AND in the soft format for l+1 <= kMaxSortRows, so it equals
-/// the scalar divisor T(double(l + 1)) widened).  Mirrors the f16 group
-/// scan in kernels_f16.hpp.
+/// Hillis–Steele adds high-to-low, then divide row l by l+1 rounded to the
+/// soft format — the scalar divisor T(double(l + 1)) widened; l + 1 itself
+/// is not a soft value past 256 (BF16) or 2048 (TF32).  Mirrors the f16
+/// group scan in kernels_f16.hpp.
 inline void scan_rows_soft_group(int shift, std::uint32_t* blk,
                                  std::size_t bstride, std::size_t d,
                                  std::size_t jj) {
@@ -215,8 +215,12 @@ inline void scan_rows_soft_group(int shift, std::uint32_t* blk,
       store(l, round_soft_lanes(sum, cnt, bias, one_i));
     }
   }
+  // l + 1 is a soft-format integer up to 2^(24 - shift); past that the
+  // scalar divisor rounds (it is exact in binary32, so one RNE step).
+  const std::size_t exact_rows = std::size_t(1) << (24 - shift);
   for (std::size_t l = 0; l < d; ++l) {
-    const __m256 divv = _mm256_set1_ps(float(l + 1));
+    __m256 divv = _mm256_set1_ps(float(l + 1));
+    if (l >= exact_rows) divv = round_soft_lanes(divv, cnt, bias, one_i);
     const __m256 q = _mm256_div_ps(load(l), divv);
     store(l, round_soft_lanes(q, cnt, bias, one_i));
   }

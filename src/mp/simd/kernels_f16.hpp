@@ -163,22 +163,12 @@ inline unsigned nan_lanes_f16(const float16* p) {
   return unsigned(_mm256_movemask_ps(_mm256_cmp_ps(v, v, _CMP_UNORD_Q)));
 }
 
-/// Scalar column fallback of the f16 block scan: gather, run the exact
-/// scalar float16 scan-average (finish_binop NaN rule included), scatter.
-inline void scan_column_f16(float16* blk, std::size_t bstride, std::size_t d,
-                            std::size_t jj) {
-  float16 vals[kMaxSortRows];
-  for (std::size_t l = 0; l < d; ++l) vals[l] = blk[l * bstride + jj];
-  scan_average_column(vals, d);
-  for (std::size_t l = 0; l < d; ++l) blk[l * bstride + jj] = vals[l];
-}
-
 /// F16C block sort + scan-average.  The sort is blend-only (see
 /// cmpex_rows_f16), so it needs no NaN fallback; the scan does arithmetic,
 /// so lanes holding a NaN distance take the scalar column path
 /// (finish_binop's first-NaN-operand sign rule only the scalar operators
 /// implement).  The fallback is PER LANE: the poisoned columns are scanned
-/// with the scalar operators into stack scratch before the vector scan
+/// with the scalar operators into per-thread scratch before the vector scan
 /// mutates the block, then scattered over the vector results — the 7 clean
 /// neighbours of a poisoned column stay on the vector path (the old
 /// group-level fallback dropped all 8).  NaN cannot APPEAR mid-scan from
@@ -198,19 +188,18 @@ inline void sort_scan_rows_f16(float16* blk, std::size_t bstride,
       }
     }
   }
-  // Hoisted out of the loop: float16's zero-initializing default
-  // constructor would otherwise memset this 1 KiB scratch every group.
-  float16 saved[8 * kMaxSortRows];
   std::size_t jj = 0;
   for (; jj + 8 <= bn; jj += 8) {
     unsigned nan_lanes = 0;
     for (std::size_t l = 0; l < d; ++l) {
       nan_lanes |= nan_lanes_f16(blk + l * bstride + jj);
     }
+    float16* saved = nullptr;
     if (nan_lanes != 0) [[unlikely]] {
+      saved = column_scratch<float16>(8 * d);
       for (unsigned c = 0; c < 8; ++c) {
         if ((nan_lanes & (1u << c)) == 0) continue;
-        float16* vals = saved + c * kMaxSortRows;
+        float16* vals = saved + c * d;
         for (std::size_t l = 0; l < d; ++l) {
           vals[l] = blk[l * bstride + jj + c];
         }
@@ -228,23 +217,34 @@ inline void sort_scan_rows_f16(float16* blk, std::size_t bstride,
     }
     for (std::size_t l = 0; l < d; ++l) {
       const __m256 a = load_halves(blk + l * bstride + jj);
-      // l+1 <= kMaxSortRows is exact in binary16, so this equals the
-      // scalar divisor float16(double(l + 1)) widened to binary32.
-      const __m256 divv = _mm256_set1_ps(float(l + 1));
+      // The scalar divisor float16(double(l + 1)), widened.  l + 1 is a
+      // binary16 integer up to 2048; past that it rounds, and since it is
+      // exact in binary32 one RNE step matches the scalar conversion.
+      __m256 divv = _mm256_set1_ps(float(l + 1));
+      if (l >= 2048) divv = round_lanes_f16(divv);
       _mm_storeu_si128(reinterpret_cast<__m128i*>(blk + l * bstride + jj),
                        _mm256_cvtps_ph(_mm256_div_ps(a, divv), kRne));
     }
     if (nan_lanes != 0) [[unlikely]] {
       for (unsigned c = 0; c < 8; ++c) {
         if ((nan_lanes & (1u << c)) == 0) continue;
-        const float16* vals = saved + c * kMaxSortRows;
+        const float16* vals = saved + c * d;
         for (std::size_t l = 0; l < d; ++l) {
           blk[l * bstride + jj + c] = vals[l];
         }
       }
     }
   }
-  for (; jj < bn; ++jj) scan_column_f16(blk, bstride, d, jj);
+  // Tail columns: gather, run the exact scalar float16 scan-average
+  // (finish_binop NaN rule included), scatter.
+  if (jj < bn) {
+    float16* const vals = column_scratch<float16>(d);
+    for (; jj < bn; ++jj) {
+      for (std::size_t l = 0; l < d; ++l) vals[l] = blk[l * bstride + jj];
+      scan_average_column(vals, d);
+      for (std::size_t l = 0; l < d; ++l) blk[l * bstride + jj] = vals[l];
+    }
+  }
 }
 
 }  // namespace mpsim::mp::simd

@@ -290,8 +290,8 @@ inline std::int64_t qt_only_span(std::int64_t n, CT df_ri, CT dg_ri,
 /// 8-column group with a PER-LANE scalar fallback for columns holding a
 /// NaN distance (two NaN operands in one add would expose operand-order-
 /// dependent propagation; the scalar soft_float operators are the
-/// reference).  Poisoned columns are scanned into stack scratch BEFORE
-/// the vector scan mutates the block, then scattered over it.
+/// reference).  Poisoned columns are scanned into per-thread scratch
+/// BEFORE the vector scan mutates the block, then scattered over it.
 template <typename ST>
 void sort_scan_rows_soft(ST* blk, std::size_t bstride, std::size_t bn,
                          std::size_t d) {
@@ -320,16 +320,15 @@ void sort_scan_rows_soft(ST* blk, std::size_t bstride, std::size_t bn,
       }
     }
   }
-  // Hoisted out of the loop: soft_float's zero-initializing default
-  // constructor would otherwise memset this 2 KiB scratch every group.
-  ST saved[8 * kMaxSortRows];
   std::size_t jj = 0;
   for (; jj + 8 <= bn; jj += 8) {
     const unsigned mask = avx2::scan_nan_lanes_soft(kShift, pay, bstride, d, jj);
+    ST* saved = nullptr;
     if (mask != 0) [[unlikely]] {
+      saved = column_scratch<ST>(8 * d);
       for (unsigned c = 0; c < 8; ++c) {
         if ((mask & (1u << c)) == 0) continue;
-        ST* vals = saved + c * kMaxSortRows;
+        ST* vals = saved + c * d;
         for (std::size_t l = 0; l < d; ++l) {
           vals[l] = blk[l * bstride + jj + c];
         }
@@ -340,18 +339,20 @@ void sort_scan_rows_soft(ST* blk, std::size_t bstride, std::size_t bn,
     if (mask != 0) [[unlikely]] {
       for (unsigned c = 0; c < 8; ++c) {
         if ((mask & (1u << c)) == 0) continue;
-        const ST* vals = saved + c * kMaxSortRows;
+        const ST* vals = saved + c * d;
         for (std::size_t l = 0; l < d; ++l) {
           blk[l * bstride + jj + c] = vals[l];
         }
       }
     }
   }
-  for (; jj < bn; ++jj) {
-    ST vals[kMaxSortRows];
-    for (std::size_t l = 0; l < d; ++l) vals[l] = blk[l * bstride + jj];
-    scan_average_column(vals, d);
-    for (std::size_t l = 0; l < d; ++l) blk[l * bstride + jj] = vals[l];
+  if (jj < bn) {
+    ST* const vals = column_scratch<ST>(d);
+    for (; jj < bn; ++jj) {
+      for (std::size_t l = 0; l < d; ++l) vals[l] = blk[l * bstride + jj];
+      scan_average_column(vals, d);
+      for (std::size_t l = 0; l < d; ++l) blk[l * bstride + jj] = vals[l];
+    }
   }
 }
 #endif  // MPSIM_SIMD_AVX2
@@ -437,7 +438,7 @@ inline std::int64_t merge_tile_span(const double* src_profile,
 /// counts are deterministic for a given configuration — check_perf.sh
 /// pins them under --simd=scalar.
 template <typename Traits>
-void note_tile_variants(bool fused, bool skip_sort) {
+void note_tile_variants(bool skip_sort) {
   auto& registry = MetricsRegistry::global();
   if (!registry.enabled()) return;
   using ST = typename Traits::Storage;
@@ -453,9 +454,9 @@ void note_tile_variants(bool fused, bool skip_sort) {
   note(Stage::kDistCalc,
        std::is_same_v<CT, ST> ? dist_calc_variant<CT>() : kScalar);
   if (!skip_sort) {
-    note(Stage::kSortScan, fused ? sort_scan_variant<ST>() : kScalar);
+    note(Stage::kSortScan, sort_scan_variant<ST>());
   }
-  note(Stage::kMerge, fused ? merge_variant<ST>() : kScalar);
+  note(Stage::kMerge, merge_variant<ST>());
   constexpr bool f16_precalc =
       std::is_same_v<typename Traits::PrecalcCompute, float16> &&
       std::is_same_v<ST, float16> && !Traits::kCompensatedPrecalc;

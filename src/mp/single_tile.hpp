@@ -79,27 +79,27 @@ class SingleTileEngine {
   /// stream is null).  `result` must outlive stream synchronisation.
   /// `staging` (optional) supplies the series pre-converted to storage
   /// precision so the tile stages with a memcpy slice; it must outlive the
-  /// stream work too.  `row_path` selects the per-row execution path
-  /// (fused vs cooperative; identical output bits either way).
-  /// `prefilter` opts the fused path into the approximate sketch gate
+  /// stream work too.  `row_path` is ignored: the row pipeline is the only
+  /// path (perfbench/driver/jobs.cpp still forwards the field).
+  /// `prefilter` opts the rows into the approximate sketch gate
   /// (mp/sketch.hpp); the default-off config keeps every column exact and
-  /// the output bit-identical to pre-prefilter builds.  The cooperative
-  /// path ignores it (always exact).  `cancel` (optional) is polled once
-  /// per tile row and inside every launch: a cancelled attempt unwinds
-  /// with CancelledError — polling never touches the arithmetic, so
-  /// outputs stay bit-identical with or without it.
+  /// the output bit-identical to pre-prefilter builds.  `cancel`
+  /// (optional) is polled once per tile row and inside every launch: a
+  /// cancelled attempt unwinds with CancelledError — polling never
+  /// touches the arithmetic, so outputs stay bit-identical with or
+  /// without it.
   static void enqueue(gpusim::Device& device, gpusim::Stream* stream,
                       const TimeSeries& reference, const TimeSeries& query,
                       std::size_t m, const Tile& tile, std::int64_t exclusion,
                       TileResult& result, StagingCache* staging = nullptr,
-                      RowPath row_path = RowPath::kAuto,
+                      RowPath /*row_path*/ = RowPath::kFused,
                       PrefilterConfig prefilter = {},
                       const gpusim::CancellationToken* cancel = nullptr,
                       const SliceProgress* slice = nullptr) {
     auto run = [&device, &reference, &query, m, tile, exclusion, &result,
-                staging, row_path, prefilter, cancel, slice] {
+                staging, prefilter, cancel, slice] {
       run_tile(device, reference, query, m, tile, exclusion, result, staging,
-               row_path, prefilter, cancel, slice);
+               prefilter, cancel, slice);
     };
     if (stream != nullptr) {
       stream->enqueue(std::move(run));
@@ -113,9 +113,9 @@ class SingleTileEngine {
                        const TimeSeries& query, std::size_t m,
                        const Tile& tile, std::int64_t exclusion,
                        TileResult& result, StagingCache* staging,
-                       RowPath row_path, const PrefilterConfig& prefilter,
+                       const PrefilterConfig& prefilter,
                        const gpusim::CancellationToken* cancel,
-                       const SliceProgress* slice = nullptr) {
+                       const SliceProgress* slice) {
     const std::size_t d = reference.dims();
     const std::size_t nr = tile.r_count;
     const std::size_t nq = tile.q_count;
@@ -124,7 +124,6 @@ class SingleTileEngine {
     const gpusim::LaunchConfig config =
         gpusim::LaunchConfig::tuned_for(device.spec());
     gpusim::KernelLedger* tl = &result.ledger;
-    const bool fused = use_fused_row_path(row_path, d);
 
     // ---- Stage the input tile in storage precision and copy H2D. ----
     // With a staging cache the series is already in storage precision
@@ -178,10 +177,6 @@ class SingleTileEngine {
         df_q(device, nq * d), dg_q(device, nq * d);
     gpusim::DeviceBuffer<ST> qt_row(device, nq * d), qt_col(device, nr * d);
     gpusim::DeviceBuffer<ST> qt_a(device, nq * d), qt_b(device, nq * d);
-    // The fused path never materialises the distance / scan rows — their
-    // elimination is the point — so the buffers stay unallocated there.
-    gpusim::DeviceBuffer<ST> dist_row(device, fused ? 0 : nq * d),
-        scan_row(device, fused ? 0 : nq * d);
     gpusim::DeviceBuffer<ST> profile(device, nq * d);
     gpusim::DeviceBuffer<std::int64_t> index(device, nq * d);
     for (std::size_t e = 0; e < nq * d; ++e) {
@@ -306,253 +301,190 @@ class SingleTileEngine {
     const bool skip_sort = d == 1;
     // Observability: which SIMD dispatch variant each stage runs with for
     // this attempt (additive mpsim-metrics-v2 counters).
-    simd::note_tile_variants<Traits>(fused, skip_sort);
+    simd::note_tile_variants<Traits>(skip_sort);
 
-    if (fused) {
-      // Fused row pipeline: one column-blocked host pass per tile row
-      // performs all three kernels' work (see fused_row_body).  The three
-      // logical kernels are still modeled, fault-injected and recorded
-      // individually, in launch order, so ledgers, perf-model figures,
-      // metrics counters and fault-injection schedules are identical to
-      // the cooperative path's.
-      const std::size_t lanes = next_pow2(d);
+    // Row pipeline: one column-blocked host pass per tile row performs all
+    // three kernels' work (see fused_row_body).  The three logical kernels
+    // are still modeled, fault-injected and recorded individually, in
+    // launch order, so ledgers, perf-model figures, metrics counters and
+    // fault-injection schedules keep the paper's per-row kernel cadence.
+    const std::size_t lanes = next_pow2(d);
+    if (!skip_sort) {
+      // The modelled sort kernel keeps its values + scratch (p2 elements
+      // each) in shared memory per group.
+      const std::size_t shared_bytes =
+          2 * lanes * storage_bytes(Traits::kMode);
+      gpusim::validate_group_shared_mem(device, "sort_&_incl_scan",
+                                        std::int64_t(lanes), shared_bytes);
+    }
+    // The host pass runs no barriers, so the sort's record carries the
+    // modelled closed form, once per occupancy wave (as in mp/model.cpp).
+    auto sort_cost_fused = sort_cost;
+    sort_cost_fused.barrier_rounds =
+        sort_scan_barrier_rounds(d) *
+        device.spec().wave_count(std::int64_t(nq) * std::int64_t(lanes));
+    // Apportion each row's measured wall clock onto the three records
+    // proportionally to their modeled times.
+    const auto modeled = [&](gpusim::KernelCost c) {
+      c.occupancy = config.occupancy(device.spec());
+      return gpusim::modeled_seconds(device.spec(), c);
+    };
+    const double md = modeled(dist_cost);
+    const double ms = skip_sort ? 0.0 : modeled(sort_cost_fused);
+    const double mu = modeled(upd_cost);
+    const double msum = std::max(md + ms + mu, 1e-300);
+
+    // Per-row fault/cancel/accounting prologue and epilogue, shared by
+    // the unbatched and batched loops so fault-injection schedules,
+    // cancellation poll counts and ledger records stay identical to the
+    // original per-row cadence regardless of batching.
+    const auto row_prologue = [&] {
+      if (cancel != nullptr) cancel->poll("fused row");
+      device.fault_point(gpusim::FaultSite::kKernelLaunch, "dist_calc",
+                         cancel);
       if (!skip_sort) {
-        // Same shared-memory feasibility contract as the cooperative
-        // launch (values + scratch, p2 elements each per group).
-        const std::size_t shared_bytes =
-            2 * lanes * storage_bytes(Traits::kMode);
-        gpusim::validate_group_shared_mem(device, "sort_&_incl_scan",
-                                          std::int64_t(lanes), shared_bytes);
-      }
-      // The cooperative launch measures its device-wide barrier rounds
-      // from the group bodies; the fused pass runs no simulated barriers,
-      // so the sort's record carries the closed form instead — pinned
-      // equal to the measured count by tests and mirrored in mp/model.cpp.
-      auto sort_cost_fused = sort_cost;
-      sort_cost_fused.barrier_rounds =
-          sort_scan_barrier_rounds(d) *
-          device.spec().wave_count(std::int64_t(nq) * std::int64_t(lanes));
-      // Apportion each row's measured wall clock onto the three records
-      // proportionally to their modeled times.
-      const auto modeled = [&](gpusim::KernelCost c) {
-        c.occupancy = config.occupancy(device.spec());
-        return gpusim::modeled_seconds(device.spec(), c);
-      };
-      const double md = modeled(dist_cost);
-      const double ms = skip_sort ? 0.0 : modeled(sort_cost_fused);
-      const double mu = modeled(upd_cost);
-      const double msum = std::max(md + ms + mu, 1e-300);
-
-      // Per-row fault/cancel/accounting prologue and epilogue, shared by
-      // the unbatched and batched loops so fault-injection schedules,
-      // cancellation poll counts and ledger records stay identical to the
-      // original per-row cadence regardless of batching.
-      const auto row_prologue = [&] {
-        if (cancel != nullptr) cancel->poll("fused row");
-        device.fault_point(gpusim::FaultSite::kKernelLaunch, "dist_calc",
-                           cancel);
-        if (!skip_sort) {
-          device.fault_point(gpusim::FaultSite::kKernelLaunch,
-                             "sort_&_incl_scan", cancel);
-        }
         device.fault_point(gpusim::FaultSite::kKernelLaunch,
-                           "update_mat_prof", cancel);
-      };
-      const auto row_records = [&](double measured) {
-        gpusim::record_fused_launch(device, "dist_calc", config, dist_cost,
-                                    tl, measured * md / msum);
-        if (!skip_sort) {
-          gpusim::record_fused_launch(device, "sort_&_incl_scan", config,
-                                      sort_cost_fused, tl,
-                                      measured * ms / msum);
-        }
-        gpusim::record_fused_launch(device, "update_mat_prof", config,
-                                    upd_cost, tl, measured * mu / msum);
-      };
-      const auto run_single_row = [&](std::size_t i, ST* qp, ST* qn) {
-        row_prologue();
-        Stopwatch watch;
-        device.pool().parallel_for(
-            nq, [&, i, qp, qn](std::size_t begin, std::size_t end) {
-              fused_row_body<Traits>(
-                  std::int64_t(begin), std::int64_t(end), i, nq, m, d,
-                  qt_row.data(), qt_col.data(), nr, df_r.data(), dg_r.data(),
-                  inv_r.data(), df_q.data(), dg_q.data(), inv_q.data(),
-                  qp, qn, std::int64_t(tile.r_begin + i),
-                  std::int64_t(tile.q_begin), exclusion, profile.data(),
-                  index.data());
-            });
-        row_records(watch.seconds());
-      };
-
-      // Approximate sketch prefilter (opt-in, fused path only): builds
-      // per-segment FP16 sketches once, scores column groups per row
-      // batch, and runs the QT-only recurrence where the score says no
-      // profile update is possible (mp/sketch.hpp has the contract).
-      // The per-row ledger cadence — fault points, cancellation polls,
-      // record_fused_launch triple — is identical to the exact loop.
-      TilePrefilter pf(prefilter, m, d, nr, nq);
-      const bool prefiltered = pf.enabled();
-      if (prefiltered) emit_slices = false;
-      if (prefiltered) {
-        pf.template build<Traits>(host_r.data(), len_r, mu_r.data(),
-                                  inv_r.data(), host_q.data(), len_q,
-                                  mu_q.data(), inv_q.data());
+                           "sort_&_incl_scan", cancel);
       }
-      const auto run_prefiltered_row = [&](std::size_t i, ST* qp, ST* qn) {
-        const std::size_t b0 = i - i % pf.batch_rows();
-        if (i == b0) {
-          pf.template score_batch<Traits>(
-              profile.data(), i, std::min(pf.batch_rows(), nr - i));
-        }
-        row_prologue();
-        Stopwatch watch;
-        device.pool().parallel_for(
-            nq, [&, i, qp, qn](std::size_t begin, std::size_t end) {
-              pf.for_groups(begin, end, [&](std::size_t gb, std::size_t ge,
-                                            PrefilterDecision dec) {
-                if (dec == PrefilterDecision::kSkip) {
-                  qt_only_row_body<Traits>(
-                      std::int64_t(gb), std::int64_t(ge), i, nq, d,
-                      qt_row.data(), qt_col.data(), nr, df_r.data(),
-                      dg_r.data(), df_q.data(), dg_q.data(), qp, qn);
-                } else {
-                  fused_row_body<Traits>(
-                      std::int64_t(gb), std::int64_t(ge), i, nq, m, d,
-                      qt_row.data(), qt_col.data(), nr, df_r.data(),
-                      dg_r.data(), inv_r.data(), df_q.data(), dg_q.data(),
-                      inv_q.data(), qp, qn, std::int64_t(tile.r_begin + i),
-                      std::int64_t(tile.q_begin), exclusion, profile.data(),
-                      index.data());
-                }
-              });
-            });
-        row_records(watch.seconds());
-        if (i + 1 == std::min(b0 + pf.batch_rows(), nr)) {
-          pf.note_batch_end(index.data(), std::int64_t(tile.r_begin + b0),
-                            std::int64_t(tile.r_begin + i));
-        }
-      };
-
-      // Diagonal batching: BT >= 2 consecutive rows per dispatch round
-      // amortise the parallel_for dispatch overhead over small-nq tiles
-      // (see kernels.hpp, batched_rows_phase_a).  The scan rows of a batch
-      // live in a HOST-side buffer on purpose: it is dispatch scratch of
-      // the executor, not part of the modelled device working set, so the
-      // tuner's tile_working_set_bytes stays an exact mirror of the
-      // DeviceBuffer allocations.
-      const std::size_t bt_cfg = row_batch_rows(nq, nr);
-      std::vector<ST> batch_scan;
-      if (bt_cfg >= 2) batch_scan.resize(bt_cfg * lanes * nq);
-
-      for (std::size_t i0 = start_row; i0 < nr;) {
-        if (prefiltered) {
-          // The prefilter scores and dispatches per column group within
-          // each row, so it supplies its own batching (row batches share
-          // one scoring pass); diagonal batching stays off.
-          run_prefiltered_row(i0, qt_prev, qt_next);
-          std::swap(qt_prev, qt_next);
-          ++i0;
-          continue;
-        }
-        const std::size_t bt = std::min(bt_cfg, nr - i0);
-        if (bt < 2) {
-          run_single_row(i0, qt_prev, qt_next);
-          std::swap(qt_prev, qt_next);
-          ++i0;
-          maybe_slice(i0);
-          continue;
-        }
-        // The whole batch's per-row fault points fire first, in the exact
-        // unbatched order; a triggered fault unwinds the attempt before
-        // any batched work ran (the scheduler discards the attempt's
-        // partial state either way).
-        for (std::size_t r = 0; r < bt; ++r) row_prologue();
-        Stopwatch watch;
-        device.pool().parallel_for_grained(
-            nq + bt - 1, bt,
-            [&, i0, bt, qt_prev, qt_next](std::size_t vb, std::size_t ve) {
-              batched_rows_phase_a<Traits>(
-                  std::int64_t(vb), std::int64_t(ve), bt, i0, nq, m, d,
-                  qt_row.data(), qt_col.data(), nr, df_r.data(), dg_r.data(),
-                  inv_r.data(), df_q.data(), dg_q.data(), inv_q.data(),
-                  qt_prev, qt_next, batch_scan.data());
-            });
-        device.pool().parallel_for(
-            nq, [&, i0, bt](std::size_t begin, std::size_t end) {
-              batched_rows_merge<Traits>(
-                  std::int64_t(begin), std::int64_t(end), bt, i0, nq, d,
-                  std::int64_t(tile.r_begin), std::int64_t(tile.q_begin),
-                  exclusion, batch_scan.data(), profile.data(), index.data());
-            });
-        const double per_row = watch.seconds() / double(bt);
-        for (std::size_t r = 0; r < bt; ++r) row_records(per_row);
-        std::swap(qt_prev, qt_next);
-        i0 += bt;
-        maybe_slice(i0);
-      }
-
-      result.prefilter = pf.stats();
-      finish_tile(device, nq, d, profile, index, result, tl, cancel);
-      return;
-    }
-
-    for (std::size_t i = start_row; i < nr; ++i) {
-      if (cancel != nullptr) cancel->poll("row loop");
-      gpusim::launch_grid_stride(
-          device, nullptr, "dist_calc", config, std::int64_t(nq * d),
-          dist_cost,
-          [&, i, qt_prev, qt_next](std::int64_t begin, std::int64_t end) {
-            dist_calc_body<Traits>(begin, end, i, nq, m, qt_row.data(),
-                                   qt_col.data(), nr, df_r.data(),
-                                   dg_r.data(), inv_r.data(), df_q.data(),
-                                   dg_q.data(), inv_q.data(), qt_prev,
-                                   qt_next, dist_row.data());
-          },
-          tl, cancel);
-
+      device.fault_point(gpusim::FaultSite::kKernelLaunch,
+                         "update_mat_prof", cancel);
+    };
+    const auto row_records = [&](double measured) {
+      gpusim::record_fused_launch(device, "dist_calc", config, dist_cost,
+                                  tl, measured * md / msum);
       if (!skip_sort) {
-        // Each group keeps its padded value and scratch buffers in
-        // shared memory (values + scratch, p2 elements each).
-        const std::size_t shared_bytes =
-            2 * next_pow2(d) * storage_bytes(Traits::kMode);
-        gpusim::launch_cooperative(
-            device, nullptr, "sort_&_incl_scan", config, std::int64_t(nq),
-            std::int64_t(next_pow2(d)), sort_cost,
-            [&](gpusim::GroupContext& group) {
-              sort_scan_group_body<Traits>(group, nq, d, dist_row.data(),
-                                           scan_row.data());
-            },
-            tl, shared_bytes, cancel);
+        gpusim::record_fused_launch(device, "sort_&_incl_scan", config,
+                                    sort_cost_fused, tl,
+                                    measured * ms / msum);
       }
+      gpusim::record_fused_launch(device, "update_mat_prof", config,
+                                  upd_cost, tl, measured * mu / msum);
+    };
+    const auto run_single_row = [&](std::size_t i, ST* qp, ST* qn) {
+      row_prologue();
+      Stopwatch watch;
+      device.pool().parallel_for(
+          nq, [&, i, qp, qn](std::size_t begin, std::size_t end) {
+            fused_row_body<Traits>(
+                std::int64_t(begin), std::int64_t(end), i, nq, m, d,
+                qt_row.data(), qt_col.data(), nr, df_r.data(), dg_r.data(),
+                inv_r.data(), df_q.data(), dg_q.data(), inv_q.data(),
+                qp, qn, std::int64_t(tile.r_begin + i),
+                std::int64_t(tile.q_begin), exclusion, profile.data(),
+                index.data());
+          });
+      row_records(watch.seconds());
+    };
 
-      const ST* scanned = skip_sort ? dist_row.data() : scan_row.data();
-      gpusim::launch_grid_stride(
-          device, nullptr, "update_mat_prof", config, std::int64_t(nq * d),
-          upd_cost,
-          [&, i, scanned](std::int64_t begin, std::int64_t end) {
-            update_body<Traits>(begin, end, nq,
-                                std::int64_t(tile.r_begin + i),
-                                std::int64_t(tile.q_begin), exclusion,
-                                scanned, profile.data(), index.data());
-          },
-          tl, cancel);
+    // Approximate sketch prefilter (opt-in): builds
+    // per-segment FP16 sketches once, scores column groups per row
+    // batch, and runs the QT-only recurrence where the score says no
+    // profile update is possible (mp/sketch.hpp has the contract).
+    // The per-row ledger cadence — fault points, cancellation polls,
+    // record_fused_launch triple — is identical to the exact loop.
+    TilePrefilter pf(prefilter, m, d, nr, nq);
+    const bool prefiltered = pf.enabled();
+    if (prefiltered) emit_slices = false;
+    if (prefiltered) {
+      pf.template build<Traits>(host_r.data(), len_r, mu_r.data(),
+                                inv_r.data(), host_q.data(), len_q,
+                                mu_q.data(), inv_q.data());
+    }
+    const auto run_prefiltered_row = [&](std::size_t i, ST* qp, ST* qn) {
+      const std::size_t b0 = i - i % pf.batch_rows();
+      if (i == b0) {
+        pf.template score_batch<Traits>(
+            profile.data(), i, std::min(pf.batch_rows(), nr - i));
+      }
+      row_prologue();
+      Stopwatch watch;
+      device.pool().parallel_for(
+          nq, [&, i, qp, qn](std::size_t begin, std::size_t end) {
+            pf.for_groups(begin, end, [&](std::size_t gb, std::size_t ge,
+                                          PrefilterDecision dec) {
+              if (dec == PrefilterDecision::kSkip) {
+                qt_only_row_body<Traits>(
+                    std::int64_t(gb), std::int64_t(ge), i, nq, d,
+                    qt_row.data(), qt_col.data(), nr, df_r.data(),
+                    dg_r.data(), df_q.data(), dg_q.data(), qp, qn);
+              } else {
+                fused_row_body<Traits>(
+                    std::int64_t(gb), std::int64_t(ge), i, nq, m, d,
+                    qt_row.data(), qt_col.data(), nr, df_r.data(),
+                    dg_r.data(), inv_r.data(), df_q.data(), dg_q.data(),
+                    inv_q.data(), qp, qn, std::int64_t(tile.r_begin + i),
+                    std::int64_t(tile.q_begin), exclusion, profile.data(),
+                    index.data());
+              }
+            });
+          });
+      row_records(watch.seconds());
+      if (i + 1 == std::min(b0 + pf.batch_rows(), nr)) {
+        pf.note_batch_end(index.data(), std::int64_t(tile.r_begin + b0),
+                          std::int64_t(tile.r_begin + i));
+      }
+    };
 
+    // Diagonal batching: BT >= 2 consecutive rows per dispatch round
+    // amortise the parallel_for dispatch overhead over small-nq tiles
+    // (see kernels.hpp, batched_rows_phase_a).  The scan rows of a batch
+    // live in a HOST-side buffer on purpose: it is dispatch scratch of
+    // the executor, not part of the modelled device working set (which
+    // the tuner's tile_working_set_bytes bounds).
+    const std::size_t bt_cfg = row_batch_rows(nq, nr, d);
+    std::vector<ST> batch_scan;
+    if (bt_cfg >= 2) batch_scan.resize(bt_cfg * lanes * nq);
+
+    for (std::size_t i0 = start_row; i0 < nr;) {
+      if (prefiltered) {
+        // The prefilter scores and dispatches per column group within
+        // each row, so it supplies its own batching (row batches share
+        // one scoring pass); diagonal batching stays off.
+        run_prefiltered_row(i0, qt_prev, qt_next);
+        std::swap(qt_prev, qt_next);
+        ++i0;
+        continue;
+      }
+      const std::size_t bt = std::min(bt_cfg, nr - i0);
+      if (bt < 2) {
+        run_single_row(i0, qt_prev, qt_next);
+        std::swap(qt_prev, qt_next);
+        ++i0;
+        maybe_slice(i0);
+        continue;
+      }
+      // The whole batch's per-row fault points fire first, in the exact
+      // unbatched order; a triggered fault unwinds the attempt before
+      // any batched work ran (the scheduler discards the attempt's
+      // partial state either way).
+      for (std::size_t r = 0; r < bt; ++r) row_prologue();
+      Stopwatch watch;
+      device.pool().parallel_for_grained(
+          nq + bt - 1, bt,
+          [&, i0, bt, qt_prev, qt_next](std::size_t vb, std::size_t ve) {
+            batched_rows_phase_a<Traits>(
+                std::int64_t(vb), std::int64_t(ve), bt, i0, nq, m, d,
+                qt_row.data(), qt_col.data(), nr, df_r.data(), dg_r.data(),
+                inv_r.data(), df_q.data(), dg_q.data(), inv_q.data(),
+                qt_prev, qt_next, batch_scan.data());
+          });
+      device.pool().parallel_for(
+          nq, [&, i0, bt](std::size_t begin, std::size_t end) {
+            batched_rows_merge<Traits>(
+                std::int64_t(begin), std::int64_t(end), bt, i0, nq, d,
+                std::int64_t(tile.r_begin), std::int64_t(tile.q_begin),
+                exclusion, batch_scan.data(), profile.data(), index.data());
+          });
+      const double per_row = watch.seconds() / double(bt);
+      for (std::size_t r = 0; r < bt; ++r) row_records(per_row);
       std::swap(qt_prev, qt_next);
-      maybe_slice(i + 1);
+      i0 += bt;
+      maybe_slice(i0);
     }
 
-    finish_tile(device, nq, d, profile, index, result, tl, cancel);
-  }
+    result.prefilter = pf.stats();
 
-  /// D2H of the tile profile/index (Pseudocode 1, line 8) + the binary64
-  /// widening of the host-side result.  Shared epilogue of both row paths.
-  static void finish_tile(gpusim::Device& device, std::size_t nq,
-                          std::size_t d,
-                          const gpusim::DeviceBuffer<ST>& profile,
-                          const gpusim::DeviceBuffer<std::int64_t>& index,
-                          TileResult& result, gpusim::KernelLedger* tl,
-                          const gpusim::CancellationToken* cancel) {
+    // ---- D2H of the tile profile/index (Pseudocode 1, line 8). ----
     std::vector<ST> host_profile(nq * d);
     result.index.assign(nq * d, -1);
     gpusim::async_copy_d2h(device, nullptr, profile, host_profile.data(),

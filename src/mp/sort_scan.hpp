@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <limits>
 #include <utility>
+#include <vector>
 
 namespace mpsim::mp {
 
@@ -31,7 +32,7 @@ inline int log2_pow2(std::size_t p2) {
   return p2 <= 1 ? 0 : int(std::bit_width(p2 - 1));
 }
 
-/// Number of compare-exchange stages (== cooperative barrier rounds) of a
+/// Number of compare-exchange stages (== group barrier rounds) of a
 /// Bitonic network over p2 elements: log(p2) * (log(p2)+1) / 2.
 inline std::int64_t bitonic_stage_count(std::size_t p2) {
   const std::int64_t lg = log2_pow2(p2);
@@ -56,22 +57,14 @@ void bitonic_stage(T* buf, std::size_t p2, std::size_t size,
 }
 
 /// Full ascending Bitonic sort of buf[0..p2); p2 must be a power of two.
-/// `on_barrier` is invoked after every stage (the cooperative kernel
-/// forwards it to GroupContext::barrier so synchronisation rounds are
-/// counted; callers that don't care pass a no-op).
-template <typename T, typename BarrierFn>
-void bitonic_sort(T* buf, std::size_t p2, BarrierFn&& on_barrier) {
+/// On hardware every stage ends in a group barrier.
+template <typename T>
+void bitonic_sort(T* buf, std::size_t p2) {
   for (std::size_t size = 2; size <= p2; size <<= 1) {
     for (std::size_t stride = size >> 1; stride > 0; stride >>= 1) {
       bitonic_stage(buf, p2, size, stride);
-      on_barrier();
     }
   }
-}
-
-template <typename T>
-void bitonic_sort(T* buf, std::size_t p2) {
-  bitonic_sort(buf, p2, [] {});
 }
 
 /// Number of fan-in steps (== barrier rounds) of the inclusive scan.
@@ -85,23 +78,16 @@ inline std::int64_t scan_step_count(std::size_t d) {
 /// average of Eq. (2): on return, x[l] = (sum of the original x[0..l]) /
 /// (l+1).  `scratch` must hold d elements.  The log-step summation order is
 /// part of the contract (it fixes the floating-point rounding sequence).
-template <typename T, typename BarrierFn>
-void inclusive_scan_average(T* x, T* scratch, std::size_t d,
-                            BarrierFn&& on_barrier) {
+/// On hardware each step ends in two group barriers (read, then write).
+template <typename T>
+void inclusive_scan_average(T* x, T* scratch, std::size_t d) {
   for (std::size_t offset = 1; offset < d; offset <<= 1) {
     for (std::size_t l = 0; l < d; ++l) {
       scratch[l] = l >= offset ? T(x[l] + x[l - offset]) : x[l];
     }
-    on_barrier();
     for (std::size_t l = 0; l < d; ++l) x[l] = scratch[l];
-    on_barrier();
   }
   for (std::size_t l = 0; l < d; ++l) x[l] = x[l] / T(double(l + 1));
-}
-
-template <typename T>
-void inclusive_scan_average(T* x, T* scratch, std::size_t d) {
-  inclusive_scan_average(x, scratch, d, [] {});
 }
 
 /// Scan-average of one already-sorted column, in place and scratch-free:
@@ -115,6 +101,18 @@ inline void scan_average_column(T* x, std::size_t d) {
     for (std::size_t l = d; l-- > offset;) x[l] = T(x[l] + x[l - offset]);
   }
   for (std::size_t l = 0; l < d; ++l) x[l] = x[l] / T(double(l + 1));
+}
+
+/// Per-thread scratch of at least n elements of T, for the column gathers
+/// and per-lane NaN fallbacks of the block scans (sized from d, so any
+/// dimensionality fits).  Grows, never shrinks; one buffer per thread and
+/// element type, so a caller must be done with it before calling a
+/// function that uses it again.
+template <typename T>
+T* column_scratch(std::size_t n) {
+  static thread_local std::vector<T> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
 }
 
 /// Compile-time-specialized ascending Bitonic sort of buf[0..P2).  The

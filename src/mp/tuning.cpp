@@ -2,30 +2,37 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 
 #include "common/error.hpp"
-#include "mp/kernels.hpp"
 #include "mp/tile_plan.hpp"
 
 namespace mpsim::mp {
 
 namespace {
 /// Diagonal-batching knobs: target work items per dispatch round (matches
-/// the over-decomposition sweet spot of ThreadPool::parallel_for) and the
-/// row cap bounding the per-batch scan buffer.
+/// the over-decomposition sweet spot of ThreadPool::parallel_for), the row
+/// cap, and the element cap of the per-batch scan buffer (bt rows of
+/// next_pow2(d) x tile_cols).  kBatchTargetItems * 64 elements is what
+/// d <= 64 reaches anyway, so the element cap only binds for wider d,
+/// whose rows carry enough work per dispatch without deep batches.
 constexpr std::size_t kBatchTargetItems = 4096;
 constexpr std::size_t kMaxBatchRows = 64;
+constexpr std::size_t kMaxBatchScanElems = kBatchTargetItems * 64;
 std::atomic<std::size_t> g_row_batch_override{0};
 }  // namespace
 
-std::size_t row_batch_rows(std::size_t tile_cols, std::size_t tile_rows) {
+std::size_t row_batch_rows(std::size_t tile_cols, std::size_t tile_rows,
+                           std::size_t dims) {
   const std::size_t ov = g_row_batch_override.load(std::memory_order_relaxed);
   if (ov != 0) return std::max<std::size_t>(1, std::min(ov, tile_rows));
   if (tile_cols == 0 || tile_rows == 0) return 1;
+  const std::size_t row_elems = std::bit_ceil(std::max<std::size_t>(1, dims)) *
+                                tile_cols;
   const std::size_t bt = std::clamp<std::size_t>(
-      kBatchTargetItems / std::max<std::size_t>(1, tile_cols), 1,
-      kMaxBatchRows);
+      std::min(kBatchTargetItems / tile_cols, kMaxBatchScanElems / row_elems),
+      1, kMaxBatchRows);
   return std::min(bt, tile_rows);
 }
 
@@ -34,22 +41,16 @@ void set_row_batch_override(std::size_t rows) {
                              std::memory_order_relaxed);
 }
 
-bool use_fused_row_path(RowPath requested, std::size_t dims) {
-  if (requested == RowPath::kCooperative) return false;
-  // kAuto and kFused: the fused block pipeline supports every mode and
-  // every d up to its stack-block cap; beyond that only the cooperative
-  // path works, so both requests resolve to it.
-  return dims <= kMaxFusedRowDims;
-}
-
 std::size_t tile_working_set_bytes(std::size_t tile_rows,
                                    std::size_t tile_cols, std::size_t dims,
                                    std::size_t window, PrecisionMode mode) {
   const std::size_t es = storage_bytes(mode);
-  // Mirrors SingleTileEngine's DeviceBuffer allocations:
+  // An upper bound on SingleTileEngine's DeviceBuffer allocations:
   //   input slices: (rows+m-1 + cols+m-1) * d
   //   per-row coefficient arrays: 4 per side + QT seeds (row + col)
-  //   row buffers: qt_a, qt_b, dist, scan (4 * cols * d)
+  //   row buffers: 4 * cols * d, twice the engine's qt_a + qt_b; kept
+  //     so auto-tiled grids (which decide reduced-precision bits) and
+  //     hence their outputs do not move
   //   profile (es) + index (8 bytes).
   const std::size_t inputs =
       (tile_rows + window - 1 + tile_cols + window - 1) * dims * es;

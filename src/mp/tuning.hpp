@@ -55,27 +55,22 @@ struct TileTuningResult {
 TileTuningResult suggest_tiles(const TileTuningRequest& request,
                                const gpusim::MachineSpec& spec);
 
-/// Working-set bytes of one tile (the engine's device allocations).
+/// Working-set bytes of one tile: a bound on the engine's device
+/// allocations (see tuning.cpp), kept fixed so auto-tiled grids are stable.
 std::size_t tile_working_set_bytes(std::size_t tile_rows,
                                    std::size_t tile_cols, std::size_t dims,
                                    std::size_t window, PrecisionMode mode);
 
-/// Path-selection heuristic of the per-row pipeline: the fused path wins
-/// whenever it supports the dimensionality (its column block and network
-/// specialisations cap out at kMaxFusedRowDims), so kAuto resolves to
-/// fused below the cap and cooperative above it.  An explicit kFused
-/// request also falls back to cooperative above the cap — the request is
-/// a performance knob, not a correctness one, and both paths produce
-/// bit-identical output.
-bool use_fused_row_path(RowPath requested, std::size_t dims);
-
-/// Rows per diagonal-batched dispatch round of the fused path.  Small
+/// Rows per diagonal-batched dispatch round of the row pipeline.  Small
 /// tiles pay the parallel_for dispatch ceiling once per row; batching BT
 /// rows into one dispatch (work items = diagonals of the BT-row
 /// parallelogram) amortises it.  Auto-tuning targets ~4096 work items per
-/// dispatch round, capped at 64 rows and at the tile's row count; 1 means
-/// unbatched (large tiles keep the cache-friendly per-row sweep).
-std::size_t row_batch_rows(std::size_t tile_cols, std::size_t tile_rows);
+/// dispatch round, capped at 64 rows, at the tile's row count, and — for
+/// d > 64 only — at a 2^18-element batch scan buffer; 1 means unbatched
+/// (large tiles keep the cache-friendly per-row sweep).  Batching is pure
+/// scheduling: it never moves an output bit.
+std::size_t row_batch_rows(std::size_t tile_cols, std::size_t tile_rows,
+                           std::size_t dims);
 
 /// Test/bench override of row_batch_rows (0 = auto).  Applies
 /// process-wide; values above 64 are clamped.

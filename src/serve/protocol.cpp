@@ -54,8 +54,8 @@ Request parse_request(const std::string& line) {
   req.verb = Request::Verb::kQuery;
   const CliArgs args = args_from_tokens(tokens);
   args.check_known({"reference", "query", "self-join", "window", "mode",
-                    "tiles", "devices", "machine", "exclusion", "row-path",
-                    "prefilter", "prefilter-budget", "id"});
+                    "tiles", "devices", "machine", "exclusion", "prefilter",
+                    "prefilter-budget", "id"});
   req.id = args.get_string("id", "");
   req.reference_path = args.get_string("reference", "");
   MPSIM_CHECK(!req.reference_path.empty(), "query needs --reference=PATH");
@@ -74,7 +74,6 @@ Request parse_request(const std::string& line) {
   config.machine = args.get_string("machine", "A100");
   config.exclusion = args.get_int(
       "exclusion", req.self_join ? std::int64_t(config.window / 2) : 0);
-  config.row_path = mp::parse_row_path(args.get_string("row-path", "auto"));
   config.prefilter.mode =
       mp::parse_prefilter_mode(args.get_string("prefilter", "off"));
   config.prefilter.budget =

@@ -2,7 +2,7 @@
 # Multi-node identity leg: the elastic coordinator must be invisible in
 # the output bytes.  Three hard requirements, each byte-diffed against
 # the single-node run:
-#   1. an N-node run, across all 5 precision modes x both row paths;
+#   1. an N-node run, across all 5 precision modes;
 #   2. a run killed mid-tile on N nodes and resumed on M != N nodes;
 #   3. a resume whose journal was written under a *different tile grid*.
 # Also checks the coordinator.* / node.* metrics counters and the node
@@ -40,17 +40,13 @@ awk 'BEGIN {
 COMMON=(--reference="$WORK/ref.csv" --self-join --window=32 --devices=2
         --motifs=0)
 
-# --- Requirement 1: N-node == single-node, all modes x both row paths.
+# --- Requirement 1: N-node == single-node, all modes.
 for mode in FP64 FP32 FP16 Mixed FP16C; do
-  for path in fused cooperative; do
-    "$CLI" "${COMMON[@]}" --tiles=6 --mode="$mode" --row-path="$path" \
-        --output="$WORK/one_${mode}_${path}.csv" \
-        > "$WORK/one_${mode}_${path}.log"
-    "$CLI" "${COMMON[@]}" --tiles=6 --mode="$mode" --row-path="$path" \
-        --nodes=3 --output="$WORK/three_${mode}_${path}.csv" \
-        > "$WORK/three_${mode}_${path}.log"
-    cmp "$WORK/one_${mode}_${path}.csv" "$WORK/three_${mode}_${path}.csv"
-  done
+  "$CLI" "${COMMON[@]}" --tiles=6 --mode="$mode" \
+      --output="$WORK/one_${mode}.csv" > "$WORK/one_${mode}.log"
+  "$CLI" "${COMMON[@]}" --tiles=6 --mode="$mode" --nodes=3 \
+      --output="$WORK/three_${mode}.csv" > "$WORK/three_${mode}.log"
+  cmp "$WORK/one_${mode}.csv" "$WORK/three_${mode}.csv"
 done
 
 # --- Requirement 2: kill mid-tile on 3 nodes (sub-tile row slices in the
@@ -69,7 +65,7 @@ fi
 "$CLI" "${COMMON[@]}" --tiles=6 --mode=Mixed --nodes=2 \
     --resume="$WORK/elastic.ckpt" --output="$WORK/elastic_resumed.csv" \
     > "$WORK/elastic_resumed.log"
-cmp "$WORK/one_Mixed_fused.csv" "$WORK/elastic_resumed.csv"
+cmp "$WORK/one_Mixed.csv" "$WORK/elastic_resumed.csv"
 
 # --- Requirement 3: the same journal re-keyed onto a *different grid*
 # (tiles=6 -> tiles=4) and yet another node count.  The bytes must match
@@ -86,7 +82,7 @@ cmp "$WORK/clean4.csv" "$WORK/regrid_resumed.csv"
 "$CLI" "${COMMON[@]}" --tiles=6 --mode=Mixed --nodes=2 --steal=off \
     --metrics-out="$WORK/metrics.json" --trace-out="$WORK/trace.json" \
     --output="$WORK/observed.csv" > "$WORK/observed.log"
-cmp "$WORK/one_Mixed_fused.csv" "$WORK/observed.csv"
+cmp "$WORK/one_Mixed.csv" "$WORK/observed.csv"
 grep -q 'mpsim-metrics-v2' "$WORK/metrics.json"
 for counter in coordinator.tiles_dispatched coordinator.steals \
                coordinator.node_crashes node.commits node.commit_conflicts; do
@@ -100,7 +96,7 @@ grep -q '"node 1"' "$WORK/trace.json"
 "$CLI" "${COMMON[@]}" --tiles=6 --mode=Mixed --nodes=3 \
     --node-faults="seed=6,node_crash@1:at=1" \
     --output="$WORK/crash.csv" > "$WORK/crash.log"
-cmp "$WORK/one_Mixed_fused.csv" "$WORK/crash.csv"
+cmp "$WORK/one_Mixed.csv" "$WORK/crash.csv"
 grep -q "node 1 crashed" "$WORK/crash.log"
 
 echo "cli cluster OK"

@@ -225,7 +225,6 @@ TEST(CheckpointJournal, FingerprintTracksInputsNotShape) {
   // Non-output-affecting knobs change neither identity.
   other = config;
   other.devices = 3;
-  other.row_path = RowPath::kCooperative;
   other.resilience.watchdog = true;
   EXPECT_EQ(fp_a, checkpoint_fingerprint(a.reference, a.query, other));
   EXPECT_EQ(profile_cache_key(a.reference, a.query, config),
@@ -278,54 +277,48 @@ TEST(CheckpointSliceFit, RekeyingEdgeCases) {
 
 TEST(CheckpointResume, KilledRunResumesBitIdenticallyAllModesBothPaths) {
   const auto data = small_dataset();
-  for (const RowPath path : {RowPath::kFused, RowPath::kCooperative}) {
-    for (const PrecisionMode mode : kAllPrecisionModes) {
-      MatrixProfileConfig config;
-      config.window = 16;
-      config.mode = mode;
-      config.tiles = 4;
-      config.devices = 2;
-      config.row_path = path;
+  for (const PrecisionMode mode : kAllPrecisionModes) {
+    MatrixProfileConfig config;
+    config.window = 16;
+    config.mode = mode;
+    config.tiles = 4;
+    config.devices = 2;
 
-      const auto clean =
+    const auto clean =
+        compute_matrix_profile(data.reference, data.query, config);
+
+    const std::string ckpt = temp_path("resume_" + to_string(mode));
+    config.checkpoint.write_path = ckpt;
+    config.checkpoint.interval_tiles = 1;
+    config.checkpoint.kill_after_tiles = 2;
+    clear_shutdown();
+    try {
+      const auto r =
           compute_matrix_profile(data.reference, data.query, config);
-
-      const std::string ckpt =
-          temp_path("resume_" + to_string(mode) + "_" + to_string(path));
-      config.checkpoint.write_path = ckpt;
-      config.checkpoint.interval_tiles = 1;
-      config.checkpoint.kill_after_tiles = 2;
-      clear_shutdown();
-      try {
-        const auto r =
-            compute_matrix_profile(data.reference, data.query, config);
-        // The kill raced run completion: every tile committed before the
-        // monitor saw the request.  The journal is complete either way.
-        EXPECT_EQ(r.profile, clean.profile);
-      } catch (const InterruptedError& e) {
-        EXPECT_NE(std::string(e.what()).find("resume"), std::string::npos);
-      }
-      clear_shutdown();
-
-      config.checkpoint.kill_after_tiles = 0;
-      config.checkpoint.resume_path = ckpt;
-      const auto resumed =
-          compute_matrix_profile(data.reference, data.query, config);
-
-      EXPECT_EQ(resumed.profile, clean.profile)
-          << to_string(mode) << " " << to_string(path);
-      EXPECT_EQ(resumed.index, clean.index)
-          << to_string(mode) << " " << to_string(path);
-      EXPECT_GT(resumed.health.resumed_tiles, 0);
-      EXPECT_GT(resumed.health.checkpoint_writes, 0);
-      bool saw_resume_event = false;
-      for (const auto& event : resumed.health.events) {
-        if (event.kind == RunEvent::Kind::kResumed) saw_resume_event = true;
-      }
-      EXPECT_TRUE(saw_resume_event);
-      std::remove(ckpt.c_str());
+      // The kill raced run completion: every tile committed before the
+      // monitor saw the request.  The journal is complete either way.
+      EXPECT_EQ(r.profile, clean.profile);
+    } catch (const InterruptedError& e) {
+      EXPECT_NE(std::string(e.what()).find("resume"), std::string::npos);
     }
-  }
+    clear_shutdown();
+
+    config.checkpoint.kill_after_tiles = 0;
+    config.checkpoint.resume_path = ckpt;
+    const auto resumed =
+        compute_matrix_profile(data.reference, data.query, config);
+
+    EXPECT_EQ(resumed.profile, clean.profile) << to_string(mode);
+    EXPECT_EQ(resumed.index, clean.index) << to_string(mode);
+    EXPECT_GT(resumed.health.resumed_tiles, 0);
+    EXPECT_GT(resumed.health.checkpoint_writes, 0);
+    bool saw_resume_event = false;
+    for (const auto& event : resumed.health.events) {
+      if (event.kind == RunEvent::Kind::kResumed) saw_resume_event = true;
+    }
+    EXPECT_TRUE(saw_resume_event);
+    std::remove(ckpt.c_str());
+}
 }
 
 TEST(CheckpointResume, MidTileSliceKillResumesBitIdentically) {

@@ -139,28 +139,22 @@ TEST(Cluster, ValidatesConfiguration) {
 
 TEST(ElasticCoordinator, MatchesSingleNodeBitsAllModesBothPaths) {
   const auto data = small_dataset();
-  for (const mp::RowPath path :
-       {mp::RowPath::kFused, mp::RowPath::kCooperative}) {
-    for (const PrecisionMode mode : kAllPrecisionModes) {
-      mp::MatrixProfileConfig config;
-      config.window = 16;
-      config.mode = mode;
-      config.tiles = 8;
-      config.devices = 2;
-      config.row_path = path;
+  for (const PrecisionMode mode : kAllPrecisionModes) {
+    mp::MatrixProfileConfig config;
+    config.window = 16;
+    config.mode = mode;
+    config.tiles = 8;
+    config.devices = 2;
 
-      const auto one =
-          mp::compute_matrix_profile(data.reference, data.query, config);
+    const auto one =
+        mp::compute_matrix_profile(data.reference, data.query, config);
 
-      ElasticClusterConfig elastic;
-      elastic.nodes = 3;  // uneven split across the 4x2 grid
-      const auto three = compute_matrix_profile_elastic(
-          data.reference, data.query, config, elastic);
-      EXPECT_EQ(three.profile, one.profile)
-          << to_string(mode) << " " << to_string(path);
-      EXPECT_EQ(three.index, one.index)
-          << to_string(mode) << " " << to_string(path);
-    }
+    ElasticClusterConfig elastic;
+    elastic.nodes = 3;  // uneven split across the 4x2 grid
+    const auto three = compute_matrix_profile_elastic(
+        data.reference, data.query, config, elastic);
+    EXPECT_EQ(three.profile, one.profile) << to_string(mode);
+    EXPECT_EQ(three.index, one.index) << to_string(mode);
   }
 }
 

@@ -163,9 +163,10 @@ TEST(GemmSeeding, PartialRangeMatchesFullRange) {
 }
 
 TEST(GemmSeeding, RowPathsConsumeSeedsIdentically) {
-  // End-to-end: the GEMM seeds feed both row executions; fused and
-  // cooperative must agree bit-for-bit in every paper mode, clean and
-  // NaN-poisoned.
+  // End-to-end: the GEMM seeds feed the row pipeline; its vector kernels
+  // (top dispatch level) and the scalar level must agree bit-for-bit in
+  // every paper mode, clean and NaN-poisoned.
+  DispatchGuard guard;
   SyntheticSpec spec;
   spec.segments = 280;
   spec.dims = 3;
@@ -178,12 +179,13 @@ TEST(GemmSeeding, RowPathsConsumeSeedsIdentically) {
          {(const char*)nullptr, "seed=9,nan@0:at=1:frac=0.05"}) {
       MatrixProfileResult results[2];
       int slot = 0;
-      for (const RowPath path : {RowPath::kFused, RowPath::kCooperative}) {
+      for (const simd::Level level :
+           {simd::detected_level(), simd::kScalar}) {
+        simd::set_override(level);
         MatrixProfileConfig config;
         config.window = 32;
         config.mode = mode;
         config.tiles = 1;
-        config.row_path = path;
         gpusim::FaultInjector injector;
         if (fault_spec != nullptr) {
           injector.configure(fault_spec);

@@ -1,6 +1,6 @@
 // Tests for the GPU execution substrate: device memory accounting,
-// streams (ordering, concurrency, error capture), kernel launches and
-// cooperative groups.
+// streams (ordering, concurrency, error capture), kernel launches and the
+// cooperative kernels' shared-memory check.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -145,54 +145,17 @@ TEST(KernelLaunch, AsyncOnStreamRunsAfterSynchronize) {
   EXPECT_EQ(sum.load(), 999L * 1000 / 2);
 }
 
-TEST(KernelLaunch, CooperativeGroupsCountBarrierRounds) {
-  Device dev(a100(), 0, 2);
-  launch_cooperative(dev, nullptr, "coop", LaunchConfig{}, 64, 8, KernelCost{},
-                     [](GroupContext& g) {
-                       // 3 stages with a barrier after each.
-                       for (int s = 0; s < 3; ++s) {
-                         g.for_each_lane([](std::int64_t) {});
-                         g.barrier();
-                       }
-                     });
-  const auto stats = dev.ledger().stats("coop");
-  EXPECT_EQ(stats.launches, 1);
-  // Device-wide rounds = max over groups = 3, not 64 * 3.
-  EXPECT_EQ(stats.cost.barrier_rounds, 3);
-}
-
-TEST(KernelLaunch, CooperativeLanesSeeOwnGroupIndex) {
-  Device dev(a100(), 0, 2);
-  std::vector<std::int64_t> group_of(32 * 4, -1);
-  launch_cooperative(dev, nullptr, "idx", LaunchConfig{}, 32, 4, KernelCost{},
-                     [&](GroupContext& g) {
-                       g.for_each_lane([&](std::int64_t lane) {
-                         group_of[std::size_t(g.group_index() * 4 + lane)] =
-                             g.group_index();
-                       });
-                     });
-  for (std::int64_t g = 0; g < 32; ++g) {
-    for (std::int64_t l = 0; l < 4; ++l) {
-      EXPECT_EQ(group_of[std::size_t(g * 4 + l)], g);
-    }
-  }
-}
-
 TEST(KernelLaunch, SharedMemoryOverCommitIsRejected) {
   // A cooperative kernel whose resident groups need more scratchpad than
   // an SM provides must fail at launch, like CUDA would.
   Device dev(a100(), 0, 1);
   // lanes=32 -> 64 resident groups/SM; 64 * 8 KiB = 512 KiB > 164 KiB.
-  EXPECT_THROW(
-      launch_cooperative(
-          dev, nullptr, "too-big", LaunchConfig{}, 128, 32, KernelCost{},
-          [](GroupContext&) {}, nullptr, std::size_t(8) << 10),
-      Error);
-  // A modest footprint is fine.
-  launch_cooperative(
-      dev, nullptr, "fits", LaunchConfig{}, 128, 32, KernelCost{},
-      [](GroupContext&) {}, nullptr, 1024);
-  EXPECT_EQ(dev.ledger().stats("fits").launches, 1);
+  EXPECT_THROW(validate_group_shared_mem(dev, "too-big", 32,
+                                         std::size_t(8) << 10),
+               Error);
+  // A modest footprint is fine, and so is none at all.
+  EXPECT_NO_THROW(validate_group_shared_mem(dev, "fits", 32, 1024));
+  EXPECT_NO_THROW(validate_group_shared_mem(dev, "none", 32, 0));
 }
 
 TEST(Copies, RoundTripH2DandD2H) {

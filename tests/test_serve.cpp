@@ -59,8 +59,7 @@ TEST(ServeProtocol, QueryDefaultsMirrorTheCli) {
 TEST(ServeProtocol, QueryParsesEveryFlag) {
   const auto req = parse_request(
       "query --reference=a.csv --query=b.csv --window=32 --mode=FP16 "
-      "--tiles=4 --devices=2 --machine=V100 --exclusion=3 "
-      "--row-path=cooperative");
+      "--tiles=4 --devices=2 --machine=V100 --exclusion=3");
   EXPECT_FALSE(req.self_join);
   EXPECT_EQ(req.query_path, "b.csv");
   EXPECT_EQ(req.config.window, 32u);
@@ -69,7 +68,10 @@ TEST(ServeProtocol, QueryParsesEveryFlag) {
   EXPECT_EQ(req.config.devices, 2);
   EXPECT_EQ(req.config.machine, "V100");
   EXPECT_EQ(req.config.exclusion, 3);
-  EXPECT_EQ(req.config.row_path, mp::RowPath::kCooperative);
+  // There is one row path; its former selector is an unknown flag.
+  EXPECT_THROW(parse_request("query --reference=a.csv --self-join "
+                             "--row-path=cooperative"),
+               ConfigError);
 }
 
 TEST(ServeProtocol, OtherVerbsParse) {

@@ -56,10 +56,10 @@ struct DispatchGuard {
 };
 
 std::uint64_t run_once(const TimeSeries& reference, const TimeSeries& query,
-                       PrecisionMode mode, mp::RowPath path,
-                       const char* fault_spec) {
+                       PrecisionMode mode, const char* fault_spec,
+                       std::size_t window = 32) {
   mp::MatrixProfileConfig config;
-  config.window = 32;
+  config.window = window;
   config.mode = mode;
   config.tiles = 1;  // single stream: deterministic fault-injection order
   config.devices = 1;
@@ -68,41 +68,37 @@ std::uint64_t run_once(const TimeSeries& reference, const TimeSeries& query,
     injector.configure(fault_spec);
     config.fault_injector = &injector;
   }
-  config.row_path = path;
   return result_checksum(mp::compute_matrix_profile(reference, query, config));
 }
 
-// For each precision mode and row path, the checksum must be invariant
+// For each precision mode, the checksum must be invariant
 // across every dispatch level the host can run.  `modes` lets the soft
 // formats (outside kAllPrecisionModes) reuse the harness.
 template <std::size_t N>
 void check_levels_equal(const PrecisionMode (&modes)[N], std::size_t dims,
-                        const char* fault_spec) {
+                        const char* fault_spec, std::size_t segments = 300,
+                        std::size_t window = 32) {
   DispatchGuard guard;
   SyntheticSpec spec;
-  spec.segments = 300;
+  spec.segments = segments;
   spec.dims = dims;
-  spec.window = 32;
+  spec.window = window;
   spec.injections_per_dim = 2;
   spec.seed = 123;
   const auto data = make_synthetic_dataset(spec);
   const mp::simd::Level top = mp::simd::detected_level();
   for (const PrecisionMode mode : modes) {
-    for (const mp::RowPath path :
-         {mp::RowPath::kFused, mp::RowPath::kCooperative}) {
-      mp::simd::set_override(mp::simd::kScalar);
-      const std::uint64_t scalar_sum =
-          run_once(data.reference, data.query, mode, path, fault_spec);
-      for (int lv = mp::simd::kF16C; lv <= top; ++lv) {
-        mp::simd::set_override(mp::simd::Level(lv));
-        const std::uint64_t got =
-            run_once(data.reference, data.query, mode, path, fault_spec);
-        EXPECT_EQ(got, scalar_sum)
-            << to_string(mode) << " path=" << to_string(path)
-            << " level=" << mp::simd::to_string(mp::simd::Level(lv))
-            << " dims=" << dims << " "
-            << (fault_spec ? fault_spec : "clean");
-      }
+    mp::simd::set_override(mp::simd::kScalar);
+    const std::uint64_t scalar_sum =
+        run_once(data.reference, data.query, mode, fault_spec, window);
+    for (int lv = mp::simd::kF16C; lv <= top; ++lv) {
+      mp::simd::set_override(mp::simd::Level(lv));
+      const std::uint64_t got =
+          run_once(data.reference, data.query, mode, fault_spec, window);
+      EXPECT_EQ(got, scalar_sum)
+          << to_string(mode)
+          << " level=" << mp::simd::to_string(mp::simd::Level(lv))
+          << " dims=" << dims << " " << (fault_spec ? fault_spec : "clean");
     }
   }
 }
@@ -125,6 +121,19 @@ TEST(SimdDispatchEquality, SoftFormatsCleanAndPoisoned) {
                                             PrecisionMode::TF32};
   check_levels_equal(kSoft, 4, nullptr);
   check_levels_equal(kSoft, 4, "seed=9,nan@0:at=1:frac=0.05");
+}
+
+// Wide columns: the vector scans divide row l by l + 1 rounded to the
+// storage format, which differs from the exact binary32 l + 1 once l + 1
+// passes 256 (BF16) or 2048 (FP16).
+TEST(SimdDispatchEquality, Bf16WideScanDivisor) {
+  static constexpr PrecisionMode kBf16[] = {PrecisionMode::BF16};
+  check_levels_equal(kBf16, 300, nullptr, 48, 8);
+}
+
+TEST(SimdDispatchEquality, Fp16WideScanDivisor) {
+  static constexpr PrecisionMode kFp16[] = {PrecisionMode::FP16};
+  check_levels_equal(kFp16, 2100, nullptr, 32, 6);
 }
 
 TEST(SimdDispatchEquality, KernelFaultRetrySequence) {
@@ -153,11 +162,11 @@ TEST(SimdDispatchEquality, BatchedVersusUnbatchedRows) {
       mp::simd::set_override(lv);
       for (const PrecisionMode mode : kExtendedPrecisionModes) {
         mp::set_row_batch_override(1);
-        const std::uint64_t unbatched = run_once(
-            data.reference, data.query, mode, mp::RowPath::kFused, fault_spec);
+        const std::uint64_t unbatched =
+            run_once(data.reference, data.query, mode, fault_spec);
         mp::set_row_batch_override(16);
-        const std::uint64_t batched = run_once(
-            data.reference, data.query, mode, mp::RowPath::kFused, fault_spec);
+        const std::uint64_t batched =
+            run_once(data.reference, data.query, mode, fault_spec);
         EXPECT_EQ(batched, unbatched)
             << to_string(mode) << " level=" << mp::simd::to_string(lv) << " "
             << (fault_spec ? fault_spec : "clean");

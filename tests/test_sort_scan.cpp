@@ -105,11 +105,25 @@ TEST(BitonicSort, SortsFloat16WithInfinityPadding) {
 }
 
 TEST(BitonicSort, BarrierCountMatchesStageFormula) {
+  // One group barrier follows each (size, stride) stage on hardware:
+  // running the network stage by stage must take bitonic_stage_count
+  // stages and sort exactly like bitonic_sort.
   const std::size_t p2 = 64;
-  std::vector<double> buf(p2, 0.0);
-  std::int64_t barriers = 0;
-  bitonic_sort(buf.data(), p2, [&] { ++barriers; });
-  EXPECT_EQ(barriers, bitonic_stage_count(p2));
+  Rng rng(64);
+  std::vector<double> staged(p2);
+  for (double& v : staged) v = rng.uniform(-1.0, 1.0);
+  std::vector<double> whole = staged;
+  std::int64_t stages = 0;
+  for (std::size_t size = 2; size <= p2; size <<= 1) {
+    for (std::size_t stride = size >> 1; stride > 0; stride >>= 1) {
+      bitonic_stage(staged.data(), p2, size, stride);
+      ++stages;
+    }
+  }
+  bitonic_sort(whole.data(), p2);
+  EXPECT_EQ(stages, bitonic_stage_count(p2));
+  EXPECT_EQ(staged, whole);
+  EXPECT_TRUE(std::is_sorted(staged.begin(), staged.end()));
 }
 
 TEST(BitonicSort, HandlesDuplicatesAndSortedInput) {
@@ -147,11 +161,13 @@ INSTANTIATE_TEST_SUITE_P(VariousLengths, ScanSizes,
                          ::testing::Values(1, 2, 3, 4, 6, 8, 15, 16, 33, 64));
 
 TEST(Scan, BarrierCountIsTwoPerStep) {
-  const std::size_t d = 16;
-  std::vector<double> x(d, 1.0), scratch(d);
-  std::int64_t barriers = 0;
-  inclusive_scan_average(x.data(), scratch.data(), d, [&] { ++barriers; });
-  EXPECT_EQ(barriers, 2 * scan_step_count(d));
+  // The modelled sort_&_incl_scan barrier rounds: one after the gather,
+  // one per Bitonic stage, two (read, write) per fan-in scan step.
+  EXPECT_EQ(sort_scan_barrier_rounds(1), 1);
+  EXPECT_EQ(sort_scan_barrier_rounds(2), 1 + 1 + 2 * 1);
+  EXPECT_EQ(sort_scan_barrier_rounds(16), 1 + 10 + 2 * 4);
+  EXPECT_EQ(sort_scan_barrier_rounds(17), 1 + 15 + 2 * 5);
+  EXPECT_EQ(sort_scan_barrier_rounds(2100), 1 + 78 + 2 * 12);
 }
 
 TEST(Scan, Float16RoundsEveryStep) {
@@ -288,7 +304,8 @@ TEST_P(FusedBlockSizes, MatchesPerColumnBfloat16) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PaddedAndPowerSizes, FusedBlockSizes,
-                         ::testing::Values(2, 3, 4, 5, 6, 7, 8, 12, 16));
+                         ::testing::Values(2, 3, 4, 5, 6, 7, 8, 12, 16, 65,
+                                           300));
 
 TEST(ScanAverageColumn, MatchesScratchVersion) {
   // The in-place descending update must reproduce the scratch round-trip

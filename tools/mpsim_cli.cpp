@@ -38,7 +38,7 @@ int run(int argc, char** argv) {
                     "devices", "machine", "self-join", "exclusion", "output",
                     "motifs", "discords", "repair", "auto-tiles", "chains",
                     "faults", "max-retries", "escalate-precision",
-                    "metrics-out", "trace-out", "row-path", "simd",
+                    "metrics-out", "trace-out", "simd",
                     "prefilter", "prefilter-budget",
                     "checkpoint",
                     "resume", "checkpoint-interval", "kill-after-tiles",
@@ -58,7 +58,6 @@ int run(int argc, char** argv) {
         "                 [--faults=SPEC] [--max-retries=N] "
         "[--escalate-precision]\n"
         "                 [--metrics-out=FILE.json] [--trace-out=FILE.json]\n"
-        "                 [--row-path=auto|fused|cooperative]\n"
         "                 [--simd=auto|scalar|f16c|avx2]\n"
         "                 [--prefilter=off|sketch] [--prefilter-budget=B]\n"
         "                 [--checkpoint=FILE.ckpt] [--resume=FILE.ckpt]\n"
@@ -79,7 +78,7 @@ int run(int argc, char** argv) {
         "  and --resume restores them, skipping finished tiles; --watchdog\n"
         "  re-executes hung tiles speculatively on another device\n"
         "approximation: --prefilter=sketch gates the exact recurrence with\n"
-        "  FP16 random-projection sketches (fused row path only; default\n"
+        "  FP16 random-projection sketches (default\n"
         "  off = bit-exact); --prefilter-budget bounds the acceptable miss\n"
         "  rate, measured by a verify sample and reported as prefilter.*\n"
         "  counters + the prefilter.miss_rate gauge in --metrics-out\n"
@@ -126,13 +125,12 @@ int run(int argc, char** argv) {
       int(args.get_int("max-retries", config.resilience.max_retries));
   config.resilience.escalate_precision =
       args.get_bool("escalate-precision", false);
-  config.row_path = mp::parse_row_path(args.get_string("row-path", "auto"));
   config.prefilter.mode =
       mp::parse_prefilter_mode(args.get_string("prefilter", "off"));
   config.prefilter.budget =
       args.get_double("prefilter-budget", config.prefilter.budget);
   // SIMD kernel dispatch is a process-wide executor knob, not a per-run
-  // config field: every mode/path produces bit-identical output under any
+  // config field: every mode produces bit-identical output under any
   // level, so it never changes results — only throughput.
   mp::simd::apply_option(args.get_string("simd", "auto"));
   config.checkpoint.write_path = args.get_string("checkpoint", "");

@@ -43,7 +43,7 @@ int run(int argc, char** argv) {
         "protocol (newline-delimited; see docs/API.md \"Serving\"):\n"
         "  query --reference=ref.csv [--query=q.csv|--self-join]\n"
         "        [--window=M] [--mode=FP64] [--tiles=N] [--devices=N]\n"
-        "        [--machine=A100] [--exclusion=R] [--row-path=auto]\n"
+        "        [--machine=A100] [--exclusion=R]\n"
         "        [--id=TOKEN]\n"
         "  ping | stats | shutdown\n"
         "responses: one JSON header line {\"status\", \"id\", \"bytes\","
