@@ -194,17 +194,9 @@ inline void sort_scan_rows_f16(float16* blk, std::size_t bstride,
     for (std::size_t l = 0; l < d; ++l) {
       nan_lanes |= nan_lanes_f16(blk + l * bstride + jj);
     }
-    float16* saved = nullptr;
+    const float16* saved = nullptr;
     if (nan_lanes != 0) [[unlikely]] {
-      saved = column_scratch<float16>(8 * d);
-      for (unsigned c = 0; c < 8; ++c) {
-        if ((nan_lanes & (1u << c)) == 0) continue;
-        float16* vals = saved + c * d;
-        for (std::size_t l = 0; l < d; ++l) {
-          vals[l] = blk[l * bstride + jj + c];
-        }
-        scan_average_column(vals, d);
-      }
+      saved = scan_poisoned_columns(blk, bstride, d, jj, nan_lanes);
     }
     for (std::size_t offset = 1; offset < d; offset <<= 1) {
       for (std::size_t l = d; l-- > offset;) {
@@ -226,13 +218,7 @@ inline void sort_scan_rows_f16(float16* blk, std::size_t bstride,
                        _mm256_cvtps_ph(_mm256_div_ps(a, divv), kRne));
     }
     if (nan_lanes != 0) [[unlikely]] {
-      for (unsigned c = 0; c < 8; ++c) {
-        if ((nan_lanes & (1u << c)) == 0) continue;
-        const float16* vals = saved + c * d;
-        for (std::size_t l = 0; l < d; ++l) {
-          blk[l * bstride + jj + c] = vals[l];
-        }
-      }
+      restore_poisoned_columns(blk, bstride, d, jj, nan_lanes, saved);
     }
   }
   // Tail columns: gather, run the exact scalar float16 scan-average

@@ -4,9 +4,10 @@
 // or reports "not handled", in which case the caller runs its scalar
 // body.  Every function here is a thin runtime gate; the bit-identity
 // arguments live with the kernels (kernels_f16.hpp, kernels_native.hpp,
-// kernels_avx2.hpp).
+// kernels_avx2.hpp, kernels_avx512fp16.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -17,6 +18,7 @@
 #include "common/metrics.hpp"
 #include "mp/simd/dispatch.hpp"
 #include "mp/simd/kernels_avx2.hpp"
+#include "mp/simd/kernels_avx512fp16.hpp"
 #include "mp/simd/kernels_f16.hpp"
 #include "mp/simd/kernels_gemm.hpp"
 #include "mp/simd/kernels_native.hpp"
@@ -39,9 +41,24 @@ inline constexpr int kSoftShift = 23 - (std::numeric_limits<T>::digits - 1);
 
 // --- Per-stage variant selection (what WOULD run for this type now) -----
 
+#ifdef MPSIM_SIMD_AVX512FP16
+/// Widest d whose fused-row column block (kFusedBlockElems = 2048
+/// elements over next_pow2(d) rows, mp/kernels.hpp) spans at least one
+/// full 32-lane vector.  Wider d keeps the F16C sort/scan, whose 8-lane
+/// groups cover the narrow blocks without masks: a masked store cannot
+/// forward to a later load, and the Bitonic network reloads every row it
+/// stores.
+inline constexpr std::size_t kNativeHalfSortMaxDims = 64;
+#endif
+
 template <typename T>
 Level dist_calc_variant() {
   const Level lv = active_level();
+#ifdef MPSIM_SIMD_AVX512FP16
+  if constexpr (std::is_same_v<T, float16>) {
+    if (lv >= kAvx512Fp16) return kAvx512Fp16;
+  }
+#endif
 #ifdef MPSIM_SIMD_F16
   if constexpr (std::is_same_v<T, float16>) {
     return lv >= kF16C ? kF16C : kScalar;
@@ -61,9 +78,16 @@ Level dist_calc_variant() {
   return kScalar;
 }
 
+/// Sort/scan variant for d dimensions (the native-half kernel is gated on
+/// d, see kNativeHalfSortMaxDims).
 template <typename T>
-Level sort_scan_variant() {
+Level sort_scan_variant(std::size_t d) {
   const Level lv = active_level();
+#ifdef MPSIM_SIMD_AVX512FP16
+  if constexpr (std::is_same_v<T, float16>) {
+    if (lv >= kAvx512Fp16 && d <= kNativeHalfSortMaxDims) return kAvx512Fp16;
+  }
+#endif
 #ifdef MPSIM_SIMD_F16
   if constexpr (std::is_same_v<T, float16>) {
     return lv >= kF16C ? kF16C : kScalar;
@@ -75,13 +99,18 @@ Level sort_scan_variant() {
   }
 #endif
   // Native types: the branch-free scalar rows autovectorize already.
-  (void)lv;
+  (void)lv; (void)d;
   return kScalar;
 }
 
 template <typename T>
 Level merge_variant() {
   const Level lv = active_level();
+#ifdef MPSIM_SIMD_AVX512FP16
+  if constexpr (std::is_same_v<T, float16>) {
+    if (lv >= kAvx512Fp16) return kAvx512Fp16;
+  }
+#endif
 #ifdef MPSIM_SIMD_AVX2
   if constexpr (std::is_same_v<T, float16> || kIsSoftFloat<T>) {
     return lv >= kAvx2 ? kAvx2 : kScalar;
@@ -194,6 +223,20 @@ inline std::int64_t dist_calc_span(std::int64_t n, CT df_ri, CT dg_ri,
                                    CT inv_ri, CT two_m, const CT* qt_prev_m1,
                                    const CT* df_q, const CT* dg_q,
                                    const CT* inv_q, CT* qt_next, CT* dist) {
+#ifdef MPSIM_SIMD_AVX512FP16
+  if constexpr (std::is_same_v<CT, float16>) {
+    if (active_level() >= kAvx512Fp16) {
+      return avx512fp16::dist_calc_span(
+          n, df_ri.bits(), dg_ri.bits(), inv_ri.bits(), two_m.bits(),
+          reinterpret_cast<const std::uint16_t*>(qt_prev_m1),
+          reinterpret_cast<const std::uint16_t*>(df_q),
+          reinterpret_cast<const std::uint16_t*>(dg_q),
+          reinterpret_cast<const std::uint16_t*>(inv_q),
+          reinterpret_cast<std::uint16_t*>(qt_next),
+          reinterpret_cast<std::uint16_t*>(dist));
+    }
+  }
+#endif
 #ifdef MPSIM_SIMD_F16
   if constexpr (std::is_same_v<CT, float16>) {
     if (active_level() >= kF16C) {
@@ -243,6 +286,18 @@ template <typename CT>
 inline std::int64_t qt_only_span(std::int64_t n, CT df_ri, CT dg_ri,
                                  const CT* qt_prev_m1, const CT* df_q,
                                  const CT* dg_q, CT* qt_next) {
+#ifdef MPSIM_SIMD_AVX512FP16
+  if constexpr (std::is_same_v<CT, float16>) {
+    if (active_level() >= kAvx512Fp16) {
+      return avx512fp16::qt_only_span(
+          n, df_ri.bits(), dg_ri.bits(),
+          reinterpret_cast<const std::uint16_t*>(qt_prev_m1),
+          reinterpret_cast<const std::uint16_t*>(df_q),
+          reinterpret_cast<const std::uint16_t*>(dg_q),
+          reinterpret_cast<std::uint16_t*>(qt_next));
+    }
+  }
+#endif
 #ifdef MPSIM_SIMD_F16
   if constexpr (std::is_same_v<CT, float16>) {
     if (active_level() >= kF16C) {
@@ -323,27 +378,13 @@ void sort_scan_rows_soft(ST* blk, std::size_t bstride, std::size_t bn,
   std::size_t jj = 0;
   for (; jj + 8 <= bn; jj += 8) {
     const unsigned mask = avx2::scan_nan_lanes_soft(kShift, pay, bstride, d, jj);
-    ST* saved = nullptr;
+    const ST* saved = nullptr;
     if (mask != 0) [[unlikely]] {
-      saved = column_scratch<ST>(8 * d);
-      for (unsigned c = 0; c < 8; ++c) {
-        if ((mask & (1u << c)) == 0) continue;
-        ST* vals = saved + c * d;
-        for (std::size_t l = 0; l < d; ++l) {
-          vals[l] = blk[l * bstride + jj + c];
-        }
-        scan_average_column(vals, d);
-      }
+      saved = scan_poisoned_columns(blk, bstride, d, jj, mask);
     }
     avx2::scan_rows_soft_group(kShift, pay, bstride, d, jj);
     if (mask != 0) [[unlikely]] {
-      for (unsigned c = 0; c < 8; ++c) {
-        if ((mask & (1u << c)) == 0) continue;
-        const ST* vals = saved + c * d;
-        for (std::size_t l = 0; l < d; ++l) {
-          blk[l * bstride + jj + c] = vals[l];
-        }
-      }
+      restore_poisoned_columns(blk, bstride, d, jj, mask, saved);
     }
   }
   if (jj < bn) {
@@ -357,12 +398,57 @@ void sort_scan_rows_soft(ST* blk, std::size_t bstride, std::size_t bn,
 }
 #endif  // MPSIM_SIMD_AVX2
 
+#ifdef MPSIM_SIMD_AVX512FP16
+/// Native-half block sort + scan-average: the 32-lane image of
+/// sort_scan_rows_f16.  The Bitonic network is compare + raw blend over
+/// every column (masked tail, no scalar tail); the scan runs per 32-column
+/// group with the per-lane scalar fallback for columns holding a NaN
+/// distance, poisoned columns scanned before the vector scan mutates them.
+inline void sort_scan_rows_fp16(float16* blk, std::size_t bstride,
+                                std::size_t bn, std::size_t d) {
+  // Payload view for the intrinsic kernels (may_alias vector accesses).
+  std::uint16_t* pay = reinterpret_cast<std::uint16_t*>(blk);
+  const std::size_t p2 = next_pow2(d);
+  for (std::size_t size = 2; size <= p2; size <<= 1) {
+    for (std::size_t stride = size >> 1; stride > 0; stride >>= 1) {
+      for (std::size_t i = 0; i < p2; ++i) {
+        const std::size_t partner = i ^ stride;
+        if (partner <= i) continue;
+        avx512fp16::cmpex_rows(pay + i * bstride, pay + partner * bstride,
+                               bn, (i & size) == 0);
+      }
+    }
+  }
+  for (std::size_t jj = 0; jj < bn; jj += avx512fp16::kLanes) {
+    const std::size_t lanes = std::min(avx512fp16::kLanes, bn - jj);
+    const std::uint32_t mask =
+        avx512fp16::scan_nan_lanes(pay, bstride, d, jj, lanes);
+    const float16* saved = nullptr;
+    if (mask != 0) [[unlikely]] {
+      saved = scan_poisoned_columns(blk, bstride, d, jj, mask);
+    }
+    avx512fp16::scan_rows_group(pay, bstride, d, jj, lanes);
+    if (mask != 0) [[unlikely]] {
+      restore_poisoned_columns(blk, bstride, d, jj, mask, saved);
+    }
+  }
+}
+#endif  // MPSIM_SIMD_AVX512FP16
+
 /// Row-wise block sort + scan-average for the emulated storage types;
 /// true when a vector variant handled the (pre-padded) block, false when
 /// the caller must run its scalar gather fallback.
 template <typename ST>
 inline bool sort_scan_rows_emulated(ST* blk, std::size_t bstride,
                                     std::size_t bn, std::size_t d) {
+#ifdef MPSIM_SIMD_AVX512FP16
+  if constexpr (std::is_same_v<ST, float16>) {
+    if (sort_scan_variant<ST>(d) == kAvx512Fp16) {
+      sort_scan_rows_fp16(blk, bstride, bn, d);
+      return true;
+    }
+  }
+#endif
 #ifdef MPSIM_SIMD_F16
   if constexpr (std::is_same_v<ST, float16>) {
     if (active_level() >= kF16C) {
@@ -394,6 +480,15 @@ inline bool sort_scan_rows_emulated(ST* blk, std::size_t bstride,
 template <typename ST>
 inline std::int64_t merge_rows(const ST* src, ST* prof, std::int64_t* idx,
                                std::int64_t n, std::int64_t row) {
+#ifdef MPSIM_SIMD_AVX512FP16
+  if constexpr (std::is_same_v<ST, float16>) {
+    if (active_level() >= kAvx512Fp16) {
+      return avx512fp16::merge_rows(
+          reinterpret_cast<const std::uint16_t*>(src),
+          reinterpret_cast<std::uint16_t*>(prof), idx, n, (long long)(row));
+    }
+  }
+#endif
 #ifdef MPSIM_SIMD_AVX2
   if constexpr (std::is_same_v<ST, float16>) {
     if (active_level() >= kAvx2) {
@@ -438,7 +533,7 @@ inline std::int64_t merge_tile_span(const double* src_profile,
 /// counts are deterministic for a given configuration — check_perf.sh
 /// pins them under --simd=scalar.
 template <typename Traits>
-void note_tile_variants(bool skip_sort) {
+void note_tile_variants(std::size_t d) {
   auto& registry = MetricsRegistry::global();
   if (!registry.enabled()) return;
   using ST = typename Traits::Storage;
@@ -449,12 +544,12 @@ void note_tile_variants(bool skip_sort) {
                  to_string(level))
         .add();
   };
-  // The dist_calc span only runs when Compute == Storage (Mixed keeps the
-  // scalar widening loop).
+  // The dist_calc span runs when Compute == Storage, which holds in every
+  // mode: Mixed and FP16C differ from FP16 only in PrecalcCompute.
   note(Stage::kDistCalc,
        std::is_same_v<CT, ST> ? dist_calc_variant<CT>() : kScalar);
-  if (!skip_sort) {
-    note(Stage::kSortScan, sort_scan_variant<ST>());
+  if (d >= 2) {  // d == 1 skips the sort kernel
+    note(Stage::kSortScan, sort_scan_variant<ST>(d));
   }
   note(Stage::kMerge, merge_variant<ST>());
   constexpr bool f16_precalc =

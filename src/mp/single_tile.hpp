@@ -301,7 +301,7 @@ class SingleTileEngine {
     const bool skip_sort = d == 1;
     // Observability: which SIMD dispatch variant each stage runs with for
     // this attempt (additive mpsim-metrics-v2 counters).
-    simd::note_tile_variants<Traits>(skip_sort);
+    simd::note_tile_variants<Traits>(d);
 
     // Row pipeline: one column-blocked host pass per tile row performs all
     // three kernels' work (see fused_row_body).  The three logical kernels

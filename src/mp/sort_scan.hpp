@@ -115,6 +115,39 @@ T* column_scratch(std::size_t n) {
   return buf.data();
 }
 
+/// Per-lane NaN fallback of the vector block scans.  Columns holding a NaN
+/// distance need finish_binop's first-NaN-operand rule, which only the
+/// scalar operators implement: each column jj + c with bit c set in `mask`
+/// is gathered into column_scratch (d values at offset c * d) and scanned
+/// with scan_average_column.  Call it BEFORE the vector scan mutates the
+/// block, then restore_poisoned_columns to scatter the scalar results over
+/// the vector ones.
+template <typename T>
+const T* scan_poisoned_columns(const T* blk, std::size_t bstride,
+                               std::size_t d, std::size_t jj,
+                               std::uint32_t mask) {
+  T* const saved = column_scratch<T>(std::size_t(std::bit_width(mask)) * d);
+  for (std::uint32_t rest = mask; rest != 0; rest &= rest - 1) {
+    const std::size_t c = std::size_t(std::countr_zero(rest));
+    T* const vals = saved + c * d;
+    for (std::size_t l = 0; l < d; ++l) vals[l] = blk[l * bstride + jj + c];
+    scan_average_column(vals, d);
+  }
+  return saved;
+}
+
+template <typename T>
+void restore_poisoned_columns(T* blk, std::size_t bstride, std::size_t d,
+                              std::size_t jj, std::uint32_t mask,
+                              const T* saved) {
+  for (std::uint32_t rest = mask; rest != 0; rest &= rest - 1) {
+    const std::size_t c = std::size_t(std::countr_zero(rest));
+    for (std::size_t l = 0; l < d; ++l) {
+      blk[l * bstride + jj + c] = saved[c * d + l];
+    }
+  }
+}
+
 /// Compile-time-specialized ascending Bitonic sort of buf[0..P2).  The
 /// loops are the exact loops of bitonic_sort with constexpr bounds, so
 /// every column experiences the identical compare-exchange sequence; the

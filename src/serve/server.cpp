@@ -32,6 +32,7 @@ struct ServeMetrics {
   Counter& responses_error;
   Counter& jobs_completed;
   Counter& connections;
+  Counter& rejected_oversize;
   Histogram& job_seconds;
 
   static ServeMetrics& get() {
@@ -42,6 +43,7 @@ struct ServeMetrics {
                           reg.counter("serve.responses.error"),
                           reg.counter("serve.jobs_completed"),
                           reg.counter("serve.connections"),
+                          reg.counter("serve.rejected_oversize"),
                           reg.histogram("serve.job_seconds")};
     return m;
   }
@@ -62,30 +64,41 @@ bool write_all(int fd, const char* data, std::size_t size) {
   return true;
 }
 
+enum class ReadResult { kLine, kClosed, kOversize };
+
 /// Reads until '\n' with a poll loop so a drain can close idle
-/// connections.  Returns false on EOF/error/drain-while-idle; the
-/// (newline-stripped) line is placed in `line`.
-bool read_line(int fd, std::string& buffer, std::string& line) {
+/// connections.  kLine places the (newline-stripped) line in `line`;
+/// kClosed means EOF/error/drain-while-idle; kOversize means the line
+/// exceeds kMaxRequestLineBytes.  `scanned` counts the leading bytes of
+/// `buffer` already known to hold no newline, so each byte is searched
+/// once however the line arrives in pieces, and `buffer` never grows past
+/// the cap plus one read.
+ReadResult read_line(int fd, std::string& buffer, std::size_t& scanned,
+                     std::string& line) {
   for (;;) {
-    const auto newline = buffer.find('\n');
+    const auto newline = buffer.find('\n', scanned);
     if (newline != std::string::npos) {
-      line = buffer.substr(0, newline);
+      if (newline > kMaxRequestLineBytes) return ReadResult::kOversize;
+      line.assign(buffer, 0, newline);
       buffer.erase(0, newline + 1);
+      scanned = 0;
       if (!line.empty() && line.back() == '\r') line.pop_back();
-      return true;
+      return ReadResult::kLine;
     }
+    scanned = buffer.size();
+    if (scanned > kMaxRequestLineBytes) return ReadResult::kOversize;
     // Only idle connections (no partial request buffered) close on drain:
     // a half-sent request still gets parsed and answered or rejected.
-    if (shutdown_requested() && buffer.empty()) return false;
+    if (shutdown_requested() && buffer.empty()) return ReadResult::kClosed;
     struct pollfd pfd = {fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, kPollMs);
     if (ready < 0 && errno == EINTR) continue;
-    if (ready < 0) return false;
+    if (ready < 0) return ReadResult::kClosed;
     if (ready == 0) continue;
     char chunk[4096];
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;  // EOF or error
+    if (n <= 0) return ReadResult::kClosed;  // EOF or error
     buffer.append(chunk, std::size_t(n));
   }
 }
@@ -196,8 +209,22 @@ void Server::accept_loop() {
 
 void Server::connection_loop(int fd, std::string client) {
   std::string buffer;
+  std::size_t scanned = 0;
   std::string line;
-  while (read_line(fd, buffer, line)) {
+  for (;;) {
+    const ReadResult got = read_line(fd, buffer, scanned, line);
+    if (got == ReadResult::kClosed) break;
+    if (got == ReadResult::kOversize) {
+      // The rest of the line cannot be skipped without reading it, so the
+      // connection ends after the error header.
+      ServeMetrics::get().rejected_oversize.add();
+      ServeMetrics::get().responses_error.add();
+      const std::string header = error_header(
+          "", "request line exceeds " + std::to_string(kMaxRequestLineBytes) +
+                  " bytes; closing connection");
+      write_all(fd, header.data(), header.size());
+      break;
+    }
     if (line.empty()) continue;
     ServeMetrics::get().requests.add();
 

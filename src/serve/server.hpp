@@ -39,6 +39,11 @@
 
 namespace mpsim::serve {
 
+/// Longest request line (bytes before the '\n') a connection may send.
+/// A longer line gets an error header and the connection is closed, so a
+/// client cannot make the daemon buffer without bound.
+inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
+
 struct ServerOptions {
   /// Unix-domain listener path ("" = no unix listener).
   std::string unix_socket;

@@ -329,14 +329,21 @@ class RawClient {
     if (fd_ >= 0) ::close(fd_);
   }
 
-  void send_line(const std::string& line) {
-    const std::string framed = line + "\n";
+  void send_line(const std::string& line) { send_raw(line + "\n"); }
+
+  void send_raw(const std::string& bytes) {
     std::size_t off = 0;
-    while (off < framed.size()) {
-      const auto n = ::write(fd_, framed.data() + off, framed.size() - off);
+    while (off < bytes.size()) {
+      const auto n = ::write(fd_, bytes.data() + off, bytes.size() - off);
       MPSIM_CHECK(n > 0, "write to daemon failed");
       off += std::size_t(n);
     }
+  }
+
+  /// True when the daemon has closed its end (read returns EOF).
+  bool at_eof() {
+    char c = 0;
+    return ::read(fd_, &c, 1) == 0;
   }
 
   std::string read_header() {
@@ -513,6 +520,61 @@ TEST(ServeServer, RejectsQueriesOnceQueueIsFull) {
     client.send_line("ping --id=p");
     EXPECT_NE(client.read_header().find("\"status\": \"ok\""),
               std::string::npos);
+    client.send_line("shutdown");
+  }
+  server.wait();
+  clear_shutdown();
+}
+
+// Request lines are found however they arrive — trickled in pieces
+// (the newline search resumes where the last read left off) or several
+// per write — up to kMaxRequestLineBytes; one byte more gets an error
+// header, a closed connection and a serve.rejected_oversize count.
+TEST(ServeServer, FragmentedLinesParseAndOversizeLinesAreRejected) {
+  clear_shutdown();
+  auto& reg = MetricsRegistry::global();
+  reg.reset();
+  reg.set_enabled(true);
+  ServerOptions options;
+  options.unix_socket = temp_file("mpsim_serve_lines.sock");
+  options.executors = 1;
+  Server server(options);
+  server.start();
+  const auto is_ok = [](const std::string& header) {
+    return header.find("\"status\": \"ok\"") != std::string::npos;
+  };
+
+  {
+    RawClient client(options.unix_socket);
+    for (const char* piece : {"pi", "ng --i", "d=frag", "\r", "\n"}) {
+      client.send_raw(piece);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    const auto frag = client.read_header();
+    EXPECT_TRUE(is_ok(frag)) << frag;
+    EXPECT_NE(frag.find("\"id\": \"frag\""), std::string::npos) << frag;
+    client.send_raw("ping --id=a\nping --id=b\n");
+    EXPECT_NE(client.read_header().find("\"id\": \"a\""), std::string::npos);
+    EXPECT_NE(client.read_header().find("\"id\": \"b\""), std::string::npos);
+
+    const std::string at_cap =
+        "ping --id=" + std::string(kMaxRequestLineBytes - 10, 'x');
+    ASSERT_EQ(at_cap.size(), kMaxRequestLineBytes);
+    client.send_line(at_cap);
+    EXPECT_TRUE(is_ok(client.read_header()));
+  }
+  {
+    RawClient client(options.unix_socket);
+    client.send_raw(std::string(kMaxRequestLineBytes + 1, 'x'));
+    const auto header = client.read_header();
+    EXPECT_NE(header.find("\"status\": \"error\""), std::string::npos)
+        << header;
+    EXPECT_NE(header.find("exceeds"), std::string::npos) << header;
+    EXPECT_TRUE(client.at_eof());
+  }
+  EXPECT_EQ(reg.counter("serve.rejected_oversize").value(), 1u);
+  {
+    RawClient client(options.unix_socket);
     client.send_line("shutdown");
   }
   server.wait();

@@ -2,27 +2,35 @@
 //
 // Every kernel variant in src/mp/simd/ claims bit-identity with the
 // templated scalar bodies; this suite enforces it by running the SAME
-// end-to-end computation at every dispatch level (scalar / f16c / avx2,
-// clamped to what the host supports) and across the diagonal-batched and
+// end-to-end computation at every dispatch level (scalar / f16c / avx2 /
+// avx512fp16, clamped to what the host supports) and across the diagonal-batched and
 // unbatched row executions, then comparing FNV checksums of the full
 // profile + index output.  NaN-poisoned runs (fault-injector staging
 // corruption) are included: they drive the kernels' NaN fallbacks, where
 // operand-order-dependent hardware NaN propagation would diverge from the
 // emulated operators if the screens were wrong.
 //
-// The dispatch plumbing itself (parse/clamp/env) and the grained
-// parallel_for the batched executor relies on are covered at the bottom.
+// Kernel-level checks follow: a contraction guard run at every level, and
+// edge cases of the native-half tier against the scalar float16
+// operators.  The dispatch plumbing itself (parse/clamp/env) and the
+// grained parallel_for the batched executor relies on are covered at the
+// bottom.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "gpusim/faults.hpp"
+#include "mp/kernels.hpp"
 #include "mp/matrix_profile.hpp"
 #include "mp/simd/dispatch.hpp"
+#include "mp/simd/span.hpp"
 #include "mp/tuning.hpp"
 #include "precision/modes.hpp"
 #include "tsdata/synthetic.hpp"
@@ -175,6 +183,328 @@ TEST(SimdDispatchEquality, BatchedVersusUnbatchedRows) {
   }
 }
 
+// --- FP16 kernels against the scalar float16 operators ---------------------
+
+float16 h(std::uint16_t bits) { return float16::from_bits(bits); }
+
+/// Operands of the FP16 row spans over n columns; lane t of the spans reads
+/// prev[t] (the pre-shifted previous QT row), df_q[t], dg_q[t], inv_q[t].
+struct Fp16Row {
+  float16 df_ri, dg_ri, inv_ri, two_m{64.0};
+  std::vector<float16> prev, df_q, dg_q, inv_q;
+  explicit Fp16Row(std::size_t n) : prev(n), df_q(n), dg_q(n), inv_q(n) {}
+  std::size_t size() const { return prev.size(); }
+
+  float16 qt(std::size_t t) const {
+    return prev[t] + df_ri * dg_q[t] + dg_ri * df_q[t];
+  }
+};
+
+/// dist_calc_span at the active level, finished by the scalar recurrence
+/// from wherever the span stopped (exactly the engine's contract).  With
+/// `in_place` the QT output overwrites the prev row (the batched
+/// executor's band).  Returns the span's handled count.
+std::int64_t run_dist_row(const Fp16Row& r, bool in_place,
+                          std::vector<float16>& qt, std::vector<float16>& dist) {
+  const std::size_t n = r.size();
+  qt = r.prev;
+  dist.assign(n, h(0x1234));
+  std::vector<float16> next(n, h(0x1234));
+  float16* out = in_place ? qt.data() : next.data();
+  const std::int64_t handled = mp::simd::dist_calc_span<float16>(
+      std::int64_t(n), r.df_ri, r.dg_ri, r.inv_ri, r.two_m, qt.data(),
+      r.df_q.data(), r.dg_q.data(), r.inv_q.data(), out, dist.data());
+  for (std::size_t t = std::size_t(handled); t < n; ++t) {
+    const float16 q = r.qt(t);
+    out[t] = q;
+    dist[t] = mp::qt_to_distance(q, r.inv_ri, r.inv_q[t], r.two_m);
+  }
+  if (!in_place) qt = next;
+  return handled;
+}
+
+std::int64_t run_qt_row(const Fp16Row& r, std::vector<float16>& qt) {
+  const std::size_t n = r.size();
+  qt.assign(n, h(0x1234));
+  const std::int64_t handled = mp::simd::qt_only_span<float16>(
+      std::int64_t(n), r.df_ri, r.dg_ri, r.prev.data(), r.df_q.data(),
+      r.dg_q.data(), qt.data());
+  for (std::size_t t = std::size_t(handled); t < n; ++t) qt[t] = r.qt(t);
+  return handled;
+}
+
+/// Bitwise comparison of both spans against the scalar operators.
+void expect_row_matches_scalar(const Fp16Row& r, const char* what) {
+  std::vector<float16> qt, dist, qt_in_place, dist_in_place, qt_only;
+  run_dist_row(r, false, qt, dist);
+  run_dist_row(r, true, qt_in_place, dist_in_place);
+  run_qt_row(r, qt_only);
+  for (std::size_t t = 0; t < r.size(); ++t) {
+    const float16 q = r.qt(t);
+    const float16 dv = mp::qt_to_distance(q, r.inv_ri, r.inv_q[t], r.two_m);
+    const auto level = mp::simd::to_string(mp::simd::active_level());
+    ASSERT_EQ(qt[t].bits(), q.bits()) << what << " qt t=" << t << " " << level;
+    ASSERT_EQ(dist[t].bits(), dv.bits()) << what << " dist t=" << t << " " << level;
+    ASSERT_EQ(qt_in_place[t].bits(), q.bits())
+        << what << " in-place qt t=" << t << " " << level;
+    ASSERT_EQ(dist_in_place[t].bits(), dv.bits())
+        << what << " in-place dist t=" << t << " " << level;
+    ASSERT_EQ(qt_only[t].bits(), q.bits())
+        << what << " qt_only t=" << t << " " << level;
+  }
+}
+
+// Contraction guard.  Operands for which a fused a*b + c rounds
+// differently from the separately rounded product and sum, at each of the
+// three contractible spots of the recurrence:
+//   A: prev + df_ri * dg_q       (df_ri = 1 + 2^-10, dg_q = 1 + 2^-9)
+//   C: (...) + dg_ri * df_q      (dg_ri = 1 + 2^-10, df_q = 1 + 2^-9)
+//   B: 1 - (qt * inv_ri) * inv_q (qt = 1 + 2^-10, inv_q = 1 - 2^-10:
+//      the product rounds to 1, so only a fused form leaves 2^-20)
+// A kernel built with mul+add contraction (vfmadd) moves QT or the
+// distance on these lanes and fails here by name, at whichever level
+// compiled it.  Levels above the host clamp.
+TEST(SimdKernels, NoFmaContractionAtAnyLevel) {
+  DispatchGuard guard;
+  const float16 one_p10 = h(0x3c01), one_p9 = h(0x3c02), one_m10 = h(0x3bfe);
+  // The operands must actually discriminate fused from unfused rounding.
+  ASSERT_NE(fma(one_p10, one_p9, h(0xbc00)).bits(),
+            (h(0xbc00) + one_p10 * one_p9).bits());
+  ASSERT_NE(fma(-one_p10, one_m10, h(0x3c00)).bits(),
+            (h(0x3c00) - one_p10 * one_m10).bits());
+
+  Fp16Row r(32 * 3 + 7);  // full blocks and a masked tail
+  r.df_ri = one_p10;
+  r.dg_ri = one_p10;
+  r.inv_ri = h(0x3c00);
+  for (std::size_t t = 0; t < r.size(); ++t) {
+    r.inv_q[t] = h(0x3c00);
+    switch (t % 3) {
+      case 0:  // A
+        r.prev[t] = h(0xbc00);
+        r.dg_q[t] = one_p9;
+        break;
+      case 1:  // C
+        r.prev[t] = h(0xbc00);
+        r.df_q[t] = one_p9;
+        break;
+      default:  // B
+        r.prev[t] = one_p10;
+        r.inv_q[t] = one_m10;
+        break;
+    }
+  }
+  for (int lv = mp::simd::kScalar; lv <= mp::simd::kAvx512Fp16; ++lv) {
+    mp::simd::set_override(mp::simd::Level(lv));
+    expect_row_matches_scalar(r, "contraction guard");
+  }
+}
+
+// Edge cases of the native-half tier, each kernel against the scalar
+// operators: subnormal operands and results, overflow to +-inf, signed
+// zeros, a NaN at lane 0 and at lane 31, span lengths n % 32 in
+// {0, 1, 31}, the in-place band, and a scan past 2048 rows.
+class NativeHalfKernels : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (mp::simd::detected_level() < mp::simd::kAvx512Fp16) {
+      GTEST_SKIP() << "host lacks AVX-512 FP16";
+    }
+    mp::simd::set_override(mp::simd::kAvx512Fp16);
+  }
+  DispatchGuard guard_;
+};
+
+/// Mixed-magnitude halves: normals, subnormals, signed zeros and values
+/// whose products overflow.
+float16 edge_value(Rng& rng) {
+  const double r = rng.uniform(0.0, 1.0);
+  const double sign = rng.uniform(0.0, 1.0) < 0.5 ? -1.0 : 1.0;
+  if (r < 0.15) return h(std::uint16_t(rng.uniform_index(0x400)) |
+                         (sign < 0 ? 0x8000 : 0));            // subnormal
+  if (r < 0.22) return h(sign < 0 ? 0x8000 : 0x0000);         // +-0
+  if (r < 0.30) return float16(sign * rng.uniform(200.0, 60000.0));  // overflow
+  if (r < 0.36) return float16(sign * rng.uniform(1e-4, 6e-3));      // tiny
+  return float16(sign * rng.uniform(0.0, 2.0));
+}
+
+TEST_F(NativeHalfKernels, RowSpansMatchScalarOperators) {
+  Rng rng(41);
+  for (const std::size_t n : {1ul, 31ul, 32ul, 33ul, 63ul, 64ul, 65ul, 95ul}) {
+    for (int rep = 0; rep < 8; ++rep) {
+      Fp16Row r(n);
+      r.df_ri = edge_value(rng);
+      r.dg_ri = edge_value(rng);
+      r.inv_ri = edge_value(rng);
+      for (std::size_t t = 0; t < n; ++t) {
+        r.prev[t] = edge_value(rng);
+        r.df_q[t] = edge_value(rng);
+        r.dg_q[t] = edge_value(rng);
+        r.inv_q[t] = edge_value(rng);
+      }
+      expect_row_matches_scalar(r, "edge");
+      // A clean row has no scalar tail: masked tails cover n % 32.
+      std::vector<float16> qt, dist;
+      if (run_dist_row(r, false, qt, dist) < std::int64_t(n)) {
+        // Only a NaN (e.g. inf * 0 or inf - inf) may stop the span.
+        bool any_nan = false;
+        for (const float16 v : dist) any_nan |= float16::nan_bits(v.bits());
+        EXPECT_TRUE(any_nan) << "n=" << n << " rep=" << rep;
+      }
+    }
+  }
+  // Make sure both ends actually occur in a clean span: lanes t % 4 < 2
+  // overflow (65504 + 65504), the others sum two subnormal products
+  // (3 * 2^-24 + 2^-24 with a -0 or +0 prev).
+  Fp16Row r(64);
+  r.df_ri = h(0x3c00);
+  r.dg_ri = h(0x0001);  // 2^-24
+  r.inv_ri = h(0x3c00);
+  for (std::size_t t = 0; t < 64; ++t) {
+    const bool big = t % 4 < 2;
+    r.prev[t] = big ? h(0x7bff) : t % 2 ? h(0x8000) : h(0x0000);
+    r.dg_q[t] = big ? h(0x7bff) : h(0x0003);
+    r.df_q[t] = h(0x3c00);
+    r.inv_q[t] = h(0x3c00);
+  }
+  std::vector<float16> qt, dist;
+  EXPECT_EQ(run_dist_row(r, false, qt, dist), 64);
+  EXPECT_EQ(qt[0].bits(), 0x7c00);  // +inf
+  EXPECT_EQ(qt[2].bits(), 0x0004);  // 4 * 2^-24, subnormal
+  expect_row_matches_scalar(r, "overflow/subnormal");
+}
+
+TEST_F(NativeHalfKernels, NanLanesHandOffToScalarOperators) {
+  Rng rng(43);
+  for (const std::size_t n : {32ul, 64ul, 65ul}) {
+    for (const std::size_t lane : {0ul, 31ul}) {
+      for (const std::uint16_t nan : {std::uint16_t(0x7e00),
+                                      std::uint16_t(0xfd55)}) {
+        Fp16Row r(n);
+        r.df_ri = float16(rng.uniform(-0.1, 0.1));
+        r.dg_ri = float16(rng.uniform(-0.1, 0.1));
+        r.inv_ri = float16(rng.uniform(0.1, 0.3));
+        for (std::size_t t = 0; t < n; ++t) {
+          r.prev[t] = float16(rng.uniform(-1.0, 1.0));
+          r.df_q[t] = float16(rng.uniform(-0.1, 0.1));
+          r.dg_q[t] = float16(rng.uniform(-0.1, 0.1));
+          r.inv_q[t] = float16(rng.uniform(0.1, 0.3));
+        }
+        r.prev[lane] = h(nan);
+        std::vector<float16> qt, dist;
+        // The first block holds the NaN, so nothing is stored by the span.
+        EXPECT_EQ(run_dist_row(r, false, qt, dist), 0);
+        expect_row_matches_scalar(r, "nan operand");
+        r.prev[lane] = float16(0.5);
+        r.dg_ri = h(nan);  // NaN row constant: whole span to the scalar loop
+        EXPECT_EQ(run_dist_row(r, false, qt, dist), 0);
+        expect_row_matches_scalar(r, "nan row constant");
+      }
+    }
+  }
+}
+
+/// Block sort/scan against the scalar gather path, over the d output rows
+/// (the padding rows are scratch; columns past bn must stay untouched):
+/// both the dispatched sort_scan_block, which takes the native kernel for
+/// d <= 64, and the native kernel itself at any d.
+void expect_block_matches_scalar(const std::vector<float16>& blk,
+                                 std::size_t bstride, std::size_t bn,
+                                 std::size_t d, const char* what) {
+  std::vector<float16> ref = blk;
+  mp::simd::set_override(mp::simd::kScalar);
+  mp::sort_scan_block(ref.data(), bstride, bn, d);
+  mp::simd::set_override(mp::simd::kAvx512Fp16);
+  std::vector<float16> dispatched = blk, native = blk;
+  mp::sort_scan_block(dispatched.data(), bstride, bn, d);
+  mp::simd::sort_scan_rows_fp16(native.data(), bstride, bn, d);
+  for (std::size_t i = 0; i < d * bstride; ++i) {
+    ASSERT_EQ(dispatched[i].bits(), ref[i].bits())
+        << what << " dispatched d=" << d << " bn=" << bn
+        << " row=" << i / bstride << " col=" << i % bstride;
+    ASSERT_EQ(native[i].bits(), ref[i].bits())
+        << what << " native d=" << d << " bn=" << bn << " row=" << i / bstride
+        << " col=" << i % bstride;
+  }
+}
+
+/// A padded column block of non-negative distances (the sort/scan
+/// domain): subnormals, signed zeros, values whose sums overflow, +inf.
+std::vector<float16> edge_block(Rng& rng, std::size_t bstride, std::size_t d) {
+  const std::size_t p2 = mp::next_pow2(d);
+  std::vector<float16> blk(p2 * bstride, float16::infinity());
+  for (std::size_t i = 0; i < d * bstride; ++i) {
+    const double r = rng.uniform(0.0, 1.0);
+    if (r < 0.1) {
+      blk[i] = h(std::uint16_t(rng.uniform_index(0x400)));
+    } else if (r < 0.15) {
+      blk[i] = h(r < 0.125 ? 0x8000 : 0x0000);
+    } else if (r < 0.2) {
+      blk[i] = float16(rng.uniform(30000.0, 65504.0));
+    } else if (r < 0.21) {
+      blk[i] = float16::infinity();
+    } else {
+      blk[i] = float16(rng.uniform(0.0, 16.0));
+    }
+  }
+  return blk;
+}
+
+TEST_F(NativeHalfKernels, SortScanMatchesScalarOperators) {
+  Rng rng(47);
+  for (const std::size_t d : {2ul, 3ul, 4ul, 8ul, 64ul, 70ul}) {
+    for (const std::size_t bn : {1ul, 31ul, 32ul, 33ul, 63ul, 64ul, 96ul}) {
+      const std::size_t bstride = bn + 5;  // rows wider than the span
+      auto blk = edge_block(rng, bstride, d);
+      expect_block_matches_scalar(blk, bstride, bn, d, "clean");
+      // A NaN distance at lane 0 and lane 31: the per-lane fallback.
+      blk[0 * bstride + 0] = h(0x7e00);
+      blk[(d - 1) * bstride + std::min<std::size_t>(31, bn - 1)] = h(0xfe00);
+      expect_block_matches_scalar(blk, bstride, bn, d, "nan");
+    }
+  }
+}
+
+TEST_F(NativeHalfKernels, SortScanWideDivisor) {
+  // Past 2048 rows the scalar divisor float16(double(l + 1)) rounds.
+  Rng rng(53);
+  const std::size_t d = 2100, bn = 33;
+  auto blk = edge_block(rng, bn, d);
+  expect_block_matches_scalar(blk, bn, bn, d, "wide");
+}
+
+TEST_F(NativeHalfKernels, MergeRowsMatchesScalarSelect) {
+  Rng rng(59);
+  for (const std::size_t n : {1ul, 31ul, 32ul, 33ul, 64ul, 95ul}) {
+    std::vector<float16> src(n), prof(n);
+    std::vector<std::int64_t> idx(n + 8, -7);
+    for (std::size_t j = 0; j < n; ++j) {
+      const double r = rng.uniform(0.0, 1.0);
+      src[j] = r < 0.1   ? h(0x7e00)
+               : r < 0.2 ? h(0x8000)
+               : r < 0.3 ? h(std::uint16_t(rng.uniform_index(0x400)))
+                         : float16(rng.uniform(0.0, 4.0));
+      prof[j] = j % 5 == 0 ? h(0x0000) : j % 7 == 0 ? src[j]
+                : j % 11 == 0 ? h(0xfe00) : float16(rng.uniform(0.0, 4.0));
+    }
+    std::vector<float16> ref_prof = prof;
+    std::vector<std::int64_t> ref_idx = idx;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (src[j] < ref_prof[j]) {
+        ref_prof[j] = src[j];
+        ref_idx[j] = 42;
+      }
+    }
+    EXPECT_EQ(mp::simd::merge_rows(src.data(), prof.data(), idx.data(),
+                                   std::int64_t(n), 42),
+              std::int64_t(n));
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(prof[j].bits(), ref_prof[j].bits()) << "n=" << n << " j=" << j;
+    }
+    EXPECT_EQ(idx, ref_idx) << "n=" << n;  // no write past n either
+  }
+}
+
 // --- Dispatch plumbing ----------------------------------------------------
 
 TEST(SimdDispatch, ParseAndClamp) {
@@ -183,6 +513,7 @@ TEST(SimdDispatch, ParseAndClamp) {
   EXPECT_EQ(parse_level("scalar"), kScalar);
   EXPECT_EQ(parse_level("f16c"), kF16C);
   EXPECT_EQ(parse_level("avx2"), kAvx2);
+  EXPECT_EQ(parse_level("avx512fp16"), kAvx512Fp16);
   EXPECT_THROW(parse_level("sse9"), ConfigError);
   EXPECT_THROW(apply_option("bogus"), ConfigError);
 
@@ -190,6 +521,8 @@ TEST(SimdDispatch, ParseAndClamp) {
   apply_option("avx2");
   EXPECT_EQ(active_level(), detected_level() < kAvx2 ? detected_level()
                                                      : kAvx2);
+  apply_option("avx512fp16");
+  EXPECT_EQ(active_level(), detected_level());
   apply_option("scalar");
   EXPECT_EQ(active_level(), kScalar);
   apply_option("auto");
