@@ -423,6 +423,8 @@ BENCHMARK(BM_DistCalcRow<BF16>);
 BENCHMARK(BM_DistCalcRow<TF32>);
 BENCHMARK(BM_FusedSortScan<F64>)
     ->Arg(2)->Arg(3)->Arg(4)->Arg(6)->Arg(8)->Arg(128);
+BENCHMARK(BM_FusedSortScan<F32>)
+    ->Arg(2)->Arg(3)->Arg(4)->Arg(6)->Arg(8)->Arg(128);
 BENCHMARK(BM_FusedSortScan<F16>)
     ->Arg(2)->Arg(3)->Arg(4)->Arg(6)->Arg(8)->Arg(128);
 BENCHMARK(BM_FusedRow<F64>)->Arg(2)->Arg(4)->Arg(8);
@@ -445,4 +447,16 @@ BENCHMARK(BM_ParallelForDispatch)->Arg(64)->Arg(4096);
 BENCHMARK(BM_RowBatchDispatch)->Arg(1)->Arg(8)->Arg(32);
 BENCHMARK(BM_CoordinatorDispatch)->Arg(1)->Arg(2)->Arg(4);
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // The SIMD levels of this host and run: scripts/check_perf.sh gates a
+  // row only when the host reaches the level its baseline was pinned at.
+  benchmark::AddCustomContext("simd_detected",
+      mpsim::mp::simd::to_string(mpsim::mp::simd::detected_level()));
+  benchmark::AddCustomContext("simd_active",
+      mpsim::mp::simd::to_string(mpsim::mp::simd::active_level()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

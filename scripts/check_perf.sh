@@ -6,7 +6,9 @@
 # tracked in BENCH_micro_engine.json against its committed "after" value.
 # Any counter more than --threshold (default 20%) below baseline fails the
 # check.  Counters with a null baseline (added after the last pinning) are
-# reported but never fail.
+# reported but never fail, and so are rows whose "level" (the SIMD
+# dispatch level their baseline was pinned at) is above the level the
+# bench detects on this host: their kernels cannot run here.
 #
 # Usage: scripts/check_perf.sh [--build-dir DIR] [--baseline FILE]
 #                              [--threshold FRACTION] [--smoke]
@@ -52,19 +54,25 @@ threshold = float(threshold)
 smoke = smoke == "1"
 
 base = json.load(open(baseline_path))
+head_doc = json.load(open(head_path))
 head = {b["name"]: b.get("items_per_second", 0.0)
-        for b in json.load(open(head_path))["benchmarks"]}
+        for b in head_doc["benchmarks"]}
+LEVELS = ["scalar", "f16c", "avx2", "avx512", "avx512fp16"]
+host_level = head_doc["context"]["simd_detected"]
+print(f"  host SIMD level: {host_level}")
 
 failures = []
 for entry in base["micro"]["benchmarks"]:
-    name, ref = entry["name"], entry["after"]
+    name, ref, level = entry["name"], entry["after"], entry["level"]
     got = head.get(name)
     if got is None:
         failures.append(f"{name}: missing from HEAD run")
         continue
     got /= 1e6
     verdict = "ok"
-    if ref is not None and got < ref * (1.0 - threshold):
+    if LEVELS.index(level) > LEVELS.index(host_level):
+        verdict = f"not gated (pinned at {level})"
+    elif ref is not None and got < ref * (1.0 - threshold):
         verdict = f"REGRESSED (>{threshold:.0%} below baseline)"
         if not smoke:
             failures.append(f"{name}: {got:.2f} M/s vs baseline {ref:.2f} M/s")

@@ -35,7 +35,7 @@ run_one() {
   # The wide-d goldens join them: d = 65..2100 sizes the per-lane NaN
   # scratch from d and, past next_pow2(d) = 2048, moves the row pipeline's
   # column block to per-thread heap scratch.
-  for level in scalar f16c avx2 avx512fp16; do
+  for level in scalar f16c avx2 avx512 avx512fp16; do
     MPSIM_SIMD=$level "$dir"/tests/test_simd_dispatch \
         --gtest_filter='SimdDispatchEquality.PaperModesNanPoisoned:SimdDispatchEquality.BatchedVersusUnbatchedRows'
     MPSIM_SIMD=$level "$dir"/tests/test_golden \

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
@@ -52,8 +53,9 @@ CT qt_to_distance(CT qt, CT inv_r, CT inv_q, CT two_m) {
 }
 
 // The hand-written SIMD kernels live in mp/simd/ (kernels_f16.hpp: F16C
-// half-precision spans; kernels_native.hpp: AVX f64/f32 dist_calc spans;
-// kernels_avx2.hpp: BF16/TF32 payload kernels and vector merges), behind
+// half-precision spans; kernels_native.hpp: f64/f32 recurrence spans and
+// AVX-512F sort/scan and merge; kernels_avx2.hpp: BF16/TF32 payload
+// kernels and vector merges; kernels_avx512fp16.hpp: native halves), behind
 // the runtime CPU-feature dispatch of mp/simd/dispatch.hpp.  The kernel
 // bodies below call the typed span gates of mp/simd/span.hpp and keep
 // their scalar loops as the tail / fallback, so every mode works — and is
@@ -104,14 +106,37 @@ inline void bitonic_stage_rows(T* blk, std::size_t bstride, std::size_t bn,
   }
 }
 
+/// Scan add a[jj] + b[jj].  With two NaN inputs x86 returns the first
+/// source operand's payload, and the compiler is free to commute the add
+/// differently in the vector body and in each epilogue, so a column's NaN
+/// payload would depend on where it sits in the block: a NaN a[jj] is
+/// therefore returned quieted (a + a) whatever b[jj] holds.  The select
+/// only vectorizes when the compiler may evaluate both adds, i.e. without
+/// -ftrapping-math (results are unchanged: no code here reads FP flags).
 template <typename T>
+#if defined(__GNUC__) && !defined(__clang__)
+[[gnu::optimize("no-trapping-math")]]
+#endif
 inline void row_add(T* MPSIM_RESTRICT a, const T* MPSIM_RESTRICT b,
                     std::size_t bn) {
-  for (std::size_t jj = 0; jj < bn; ++jj) a[jj] = T(a[jj] + b[jj]);
+  for (std::size_t jj = 0; jj < bn; ++jj) {
+    const T x = a[jj];
+    a[jj] = x != x ? T(x + x) : T(x + b[jj]);
+  }
 }
 
+/// Scan-average row a[jj] / count, as the bit-identical multiply by
+/// 2^-k when count = 2^k (docs/DESIGN.md, "Exact power-of-two divisors"),
+/// which leaves the divider to the distance sqrt.
 template <typename T>
-inline void row_divide(T* MPSIM_RESTRICT a, T div, std::size_t bn) {
+inline void row_divide(T* MPSIM_RESTRICT a, std::size_t count,
+                       std::size_t bn) {
+  const T div = T(double(count));
+  if (std::has_single_bit(count)) {
+    const T inv = T(1) / div;
+    for (std::size_t jj = 0; jj < bn; ++jj) a[jj] = a[jj] * inv;
+    return;
+  }
   for (std::size_t jj = 0; jj < bn; ++jj) a[jj] = a[jj] / div;
 }
 
@@ -132,7 +157,7 @@ void sort_scan_rows_fixed(T* blk, std::size_t bstride, std::size_t bn) {
     }
   }
   for (std::size_t l = 0; l < D; ++l) {
-    row_divide(blk + l * bstride, T(double(l + 1)), bn);
+    row_divide(blk + l * bstride, l + 1, bn);
   }
 }
 
@@ -152,7 +177,7 @@ void sort_scan_rows_generic(T* blk, std::size_t bstride, std::size_t bn,
     }
   }
   for (std::size_t l = 0; l < d; ++l) {
-    row_divide(blk + l * bstride, T(double(l + 1)), bn);
+    row_divide(blk + l * bstride, l + 1, bn);
   }
 }
 
@@ -182,12 +207,12 @@ void sort_scan_rows(T* blk, std::size_t bstride, std::size_t bn,
 template <typename ST>
 void sort_scan_block(ST* blk, std::size_t bstride, std::size_t bn,
                      std::size_t d) {
+  // Vector variants (AVX-512F native rows, F16C / native halves, AVX2
+  // BF16/TF32 payload kernels), gated on the runtime dispatch level.
+  if (simd::sort_scan_rows_vector(blk, bstride, bn, d)) return;
   if constexpr (std::is_floating_point_v<ST>) {
     detail::sort_scan_rows(blk, bstride, bn, d);
   } else {
-    // Vector variants for the emulated types (F16C halves, AVX2 BF16/TF32
-    // payload kernels), gated on the runtime dispatch level.
-    if (simd::sort_scan_rows_emulated(blk, bstride, bn, d)) return;
     // Emulated scalar fallback (software float16 / scalar dispatch):
     // gather each padded column, run the fixed network, scatter the
     // averages.

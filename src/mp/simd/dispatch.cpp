@@ -22,11 +22,19 @@ Level probe() {
   // the F16C conversions), so it only unlocks on top of it.
   if (level == kF16C && __builtin_cpu_supports("avx2")) level = kAvx2;
 #endif
-#ifdef MPSIM_SIMD_AVX512FP16
+#ifdef MPSIM_SIMD_AVX512
   // libgcc's avx512 feature bits already require the OS to save the ZMM
   // and opmask state (XCR0), so no separate xgetbv check is needed.
-  if (level == kAvx2 && __builtin_cpu_supports("avx512fp16") &&
-      __builtin_cpu_supports("avx512bw")) {
+  if (level == kAvx2 && __builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512vl") &&
+      __builtin_cpu_supports("avx512dq")) {
+    level = kAvx512;
+  }
+#endif
+#ifdef MPSIM_SIMD_AVX512FP16
+  // Every avx512fp16 CPU has the AVX-512F/BW/VL/DQ set above.
+  if (level == kAvx512 && __builtin_cpu_supports("avx512fp16")) {
     level = kAvx512Fp16;
   }
 #endif
@@ -61,6 +69,7 @@ const char* to_string(Level level) {
     case kScalar: return "scalar";
     case kF16C: return "f16c";
     case kAvx2: return "avx2";
+    case kAvx512: return "avx512";
     case kAvx512Fp16: return "avx512fp16";
   }
   return "scalar";
@@ -81,9 +90,10 @@ Level parse_level(const std::string& name) {
   if (name == "scalar") return kScalar;
   if (name == "f16c") return kF16C;
   if (name == "avx2") return kAvx2;
+  if (name == "avx512") return kAvx512;
   if (name == "avx512fp16") return kAvx512Fp16;
   throw ConfigError("unknown simd level '" + name +
-                    "' (expected auto|scalar|f16c|avx2|avx512fp16)");
+                    "' (expected auto|scalar|f16c|avx2|avx512|avx512fp16)");
 }
 
 void apply_option(const std::string& name) {

@@ -1,13 +1,17 @@
 // Runtime CPU-feature dispatch of the explicit SIMD kernel layer
 // (src/mp/simd/).
 //
-// The row-pipeline kernels ship in up to four variants per (mode, stage):
+// The row-pipeline kernels ship in up to five variants per (mode, stage):
 //
 //   kScalar     — the templated scalar bodies (every platform),
 //   kF16C       — 8-wide F16C widen-op-round kernels of the emulated-FP16
 //                 storage family (FP16 / Mixed / FP16C),
 //   kAvx2       — the 4-wide f64 / 8-wide f32 AVX recurrence kernels, the
 //                 AVX2 BF16/TF32 kernels and the AVX2 merge kernels,
+//   kAvx512     — 8-wide f64 / 16-wide f32 AVX-512F instantiations of the
+//                 native row kernels (kernels_native.hpp): sort/scan,
+//                 profile merge and the f64 recurrence spans (the f32
+//                 spans measured faster at AVX width and stay there),
 //   kAvx512Fp16 — 32-lane native-half AVX-512 FP16 kernels of the FP16
 //                 family's row stages (dist_calc, QT-only, sort/scan,
 //                 merge); its precalc and GEMM panels stay on F16C.
@@ -15,7 +19,7 @@
 // The hardware level is cpuid-probed once (first use); the *active* level
 // is min(requested, detected) — a request above the hardware silently
 // clamps, so `--simd=avx512fp16` is portable to any host.  The request
-// comes from the CLI flag (--simd=auto|scalar|f16c|avx2|avx512fp16), the
+// comes from the CLI flag (--simd=auto|scalar|f16c|avx2|avx512|avx512fp16), the
 // MPSIM_SIMD environment variable (benches and script-driven tests), or
 // set_override() (unit tests switching variants in-process).
 //
@@ -45,8 +49,14 @@
 #define MPSIM_SIMD_AVX2 1
 #endif
 
-#if defined(MPSIM_SIMD_AVX2) && defined(__GNUC__) && !defined(__clang__) && \
-    __GNUC__ >= 12
+#if defined(MPSIM_SIMD_AVX2) && defined(__GNUC__) && !defined(__clang__)
+// Native f64/f32 row kernels at AVX-512F width: the kernels_native.hpp body
+// instantiated inside a `#pragma GCC target` AVX-512 region with
+// fp-contract=off, runtime-gated by the cpuid probe.
+#define MPSIM_SIMD_AVX512 1
+#endif
+
+#if defined(MPSIM_SIMD_AVX512) && __GNUC__ >= 12
 // Native-half kernels: compiled inside a `#pragma GCC target` AVX-512 FP16
 // region with fp-contract=off (kernels_avx512fp16.hpp), runtime-gated by
 // the cpuid probe.  GCC 12 is the first GCC with the FP16 intrinsics.
@@ -65,7 +75,13 @@ namespace mpsim::mp::simd {
 
 /// Dispatch level, ordered: a request of level L enables every kernel of
 /// level <= L (subject to the hardware probe).
-enum Level { kScalar = 0, kF16C = 1, kAvx2 = 2, kAvx512Fp16 = 3 };
+enum Level {
+  kScalar = 0,
+  kF16C = 1,
+  kAvx2 = 2,
+  kAvx512 = 3,
+  kAvx512Fp16 = 4
+};
 
 /// Pipeline stages whose kernels have SIMD variants, as reported by the
 /// per-stage metrics counters (`simd.<stage>.<variant>`).
@@ -75,7 +91,7 @@ const char* to_string(Level level);
 const char* to_string(Stage stage);
 
 /// Parses a --simd / MPSIM_SIMD level name; throws ConfigError on
-/// anything but scalar|f16c|avx2|avx512fp16 ("auto" is handled by
+/// anything but scalar|f16c|avx2|avx512|avx512fp16 ("auto" is handled by
 /// apply_option).
 Level parse_level(const std::string& name);
 

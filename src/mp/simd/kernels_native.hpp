@@ -1,36 +1,42 @@
-// Hand-written AVX dist_calc spans for the native storage types: F64
-// (4-wide) and F32 (8-wide).  The scalar recurrence loop does not
-// autovectorize (the libm sqrt call carries errno side effects) and the
-// build enables no FMA, so explicit FMA-free vector code is both the only
-// way to vectorize it and automatically bit-identical: each lane performs
-// the exact scalar operation sequence
+// Native f64/f32 row kernels: one width-generic body
+// (kernels_native_body.inc) instantiated at two lane widths.
 //
-//   qt   = (qt_prev + df_ri * dg_q) + dg_ri * df_q
-//   corr = (qt * inv_ri) * inv_q
-//   val  = two_m * (1 - corr)
-//   dist = sqrt(val < 0 ? 0 : val)
+//   avx::    4 x f64 / 8 x f32, baseline AVX (the build's -mf16c implies
+//            it), 2x unrolled full vectors, scalar tail in the caller: the
+//            recurrence spans (dist_calc, QT-only) of the kAvx2 level.
+//   avx512:: 8 x f64 / 16 x f32 with masked tails, compiled in an AVX-512F
+//            target region: the kAvx512 sort/scan (d <= 8) and profile
+//            merge, and the f64 recurrence spans.
 //
-// in IEEE round-to-nearest, with vsqrtpd/vsqrtps matching the correctly
-// rounded scalar sqrt.  The mul/add steps stay separate intrinsics —
-// contracting them into FMA would change results and break the pinned
-// goldens.
+// Each stage runs the width that measured faster (span.hpp): the f32
+// recurrence spans stay on AVX at kAvx512 (kWideNativeSpan), and below
+// kAvx512 sort/scan and merge stay on the scalar rows of mp/kernels.hpp,
+// which the compiler vectorizes at the build's AVX width.
 //
-// NaN handling: native precalc does NOT canonicalise NaN payloads (unlike
-// the emulated types), so corrupted staging data can put arbitrary NaNs in
-// the row constants or the streamed operands.  With two NaN operands in
-// one operation, x86 propagates src1's payload and the compiler may
-// commute — so the span never COMMITS a result that saw a NaN: NaN row
-// constants return 0 (whole span scalar), and each block is screened at
-// the END of its chain (every streamed operand propagates NaN into the
-// final `val`, so one UNORD test on val covers all four input streams);
-// a poisoned block breaks out before its stores and the scalar tail
-// recomputes it.  Clean-operand blocks commit, and for those vector and
-// scalar agree bit-for-bit — including NaNs GENERATED from clean operands
-// (inf - inf, 0 * inf), which are the ISA-default QNaN either way; such
-// blocks also bail to the scalar tail, merely re-deriving the same bits.
+// Bit-identity.  Every lane performs the scalar operation sequence in IEEE
+// round-to-nearest (vsqrtpd/vsqrtps are the correctly rounded sqrt), with
+// the mul/add steps kept separate.  The AVX-512F target enables EVEX FMA
+// and GCC lowers the intrinsics to plain vector operators, which the C++
+// default -ffp-contract=fast would fuse into one rounding where the scalar
+// code rounds twice — hence fp-contract=off on that region
+// (SimdKernels.NoFmaContractionAtAnyLevel fails without it).
+// Compare-exchange and merge are mask compares plus raw blends / masked
+// stores.  The scan multiplies by 2^-k where the scalar rows do.
+//
+// NaN handling.  Native precalc does not canonicalise NaN payloads, and
+// with two NaN operands x86 returns the first source operand's payload
+// while the compiler may commute.  The recurrence spans therefore refuse
+// NaN row constants and stop BEFORE storing a block whose chain went NaN
+// (the scalar tail re-derives it); the scan pins a NaN-meets-NaN add to
+// the payload the scalar rows keep (scan_add).
 #pragma once
 
+#include <bit>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <type_traits>
 
 #include "mp/simd/dispatch.hpp"
 
@@ -38,163 +44,160 @@
 
 #include <immintrin.h>
 
-#include <cmath>
+namespace mpsim::mp::simd::avx {
 
-namespace mpsim::mp::simd {
+/// Lane selection of a full AVX vector: the spans never run a partial one.
+struct AllLanes {};
 
-/// 4-wide F64 dist_calc span, unrolled 2x; same span-relative pointer
-/// contract as dist_calc_span_f16 (qt_prev_m1 pre-shifted one column left,
-/// dist sink may live elsewhere).  qt_prev_m1/qt_next carry no restrict:
-/// the diagonal-batched executor updates its QT band in place, which is
-/// safe because every column block loads all its operands before storing.
-/// The clamp `val < 0 ? 0 : val` is vmaxpd(0, val): identical for
-/// negatives, positives and -0.0 (both-zero returns the second operand),
-/// and no NaN reaches it — poisoned blocks broke out above.  Returns
-/// columns processed (multiple of 4; 0 when a row constant is NaN).
-inline std::int64_t dist_calc_span_f64(
-    std::int64_t n, double df_ri, double dg_ri, double inv_ri, double two_m,
-    const double* qt_prev_m1, const double* MPSIM_SIMD_RESTRICT df_q,
-    const double* MPSIM_SIMD_RESTRICT dg_q,
-    const double* MPSIM_SIMD_RESTRICT inv_q, double* qt_next,
-    double* MPSIM_SIMD_RESTRICT dist) {
-  if (std::isnan(df_ri) || std::isnan(dg_ri) || std::isnan(inv_ri)) return 0;
-  const __m256d v_df_ri = _mm256_set1_pd(df_ri);
-  const __m256d v_dg_ri = _mm256_set1_pd(dg_ri);
-  const __m256d v_inv_ri = _mm256_set1_pd(inv_ri);
-  const __m256d v_two_m = _mm256_set1_pd(two_m);
-  const __m256d v_one = _mm256_set1_pd(1.0);
-  const __m256d v_zero = _mm256_setzero_pd();
-  std::int64_t t = 0;
-  for (; t + 8 <= n; t += 8) {
-    const __m256d prev0 = _mm256_loadu_pd(qt_prev_m1 + t);
-    const __m256d prev1 = _mm256_loadu_pd(qt_prev_m1 + t + 4);
-    const __m256d dgq0 = _mm256_loadu_pd(dg_q + t);
-    const __m256d dgq1 = _mm256_loadu_pd(dg_q + t + 4);
-    const __m256d dfq0 = _mm256_loadu_pd(df_q + t);
-    const __m256d dfq1 = _mm256_loadu_pd(df_q + t + 4);
-    const __m256d invq0 = _mm256_loadu_pd(inv_q + t);
-    const __m256d invq1 = _mm256_loadu_pd(inv_q + t + 4);
-    const __m256d qt0 = _mm256_add_pd(
-        _mm256_add_pd(prev0, _mm256_mul_pd(v_df_ri, dgq0)),
-        _mm256_mul_pd(v_dg_ri, dfq0));
-    const __m256d qt1 = _mm256_add_pd(
-        _mm256_add_pd(prev1, _mm256_mul_pd(v_df_ri, dgq1)),
-        _mm256_mul_pd(v_dg_ri, dfq1));
-    const __m256d val0 = _mm256_mul_pd(
-        v_two_m, _mm256_sub_pd(v_one, _mm256_mul_pd(
-                                          _mm256_mul_pd(qt0, v_inv_ri),
-                                          invq0)));
-    const __m256d val1 = _mm256_mul_pd(
-        v_two_m, _mm256_sub_pd(v_one, _mm256_mul_pd(
-                                          _mm256_mul_pd(qt1, v_inv_ri),
-                                          invq1)));
-    // End-of-chain NaN screen: a NaN in any streamed operand reaches val,
-    // so one UNORD test covers all four streams.  Break BEFORE the stores
-    // — discarded lanes never expose the operand-order NaN hazard.  The
-    // 4-wide cleanup loop below re-finds the poisoned block and salvages
-    // a clean leading half.
-    const __m256d unord =
-        _mm256_or_pd(_mm256_cmp_pd(val0, val0, _CMP_UNORD_Q),
-                     _mm256_cmp_pd(val1, val1, _CMP_UNORD_Q));
-    if (_mm256_movemask_pd(unord) != 0) break;
-    _mm256_storeu_pd(qt_next + t, qt0);
-    _mm256_storeu_pd(qt_next + t + 4, qt1);
-    _mm256_storeu_pd(dist + t, _mm256_sqrt_pd(_mm256_max_pd(v_zero, val0)));
-    _mm256_storeu_pd(dist + t + 4,
-                     _mm256_sqrt_pd(_mm256_max_pd(v_zero, val1)));
-  }
-  for (; t + 4 <= n; t += 4) {
-    const __m256d prev = _mm256_loadu_pd(qt_prev_m1 + t);
-    const __m256d dgq = _mm256_loadu_pd(dg_q + t);
-    const __m256d dfq = _mm256_loadu_pd(df_q + t);
-    const __m256d invq = _mm256_loadu_pd(inv_q + t);
-    const __m256d qt = _mm256_add_pd(
-        _mm256_add_pd(prev, _mm256_mul_pd(v_df_ri, dgq)),
-        _mm256_mul_pd(v_dg_ri, dfq));
-    const __m256d val = _mm256_mul_pd(
-        v_two_m,
-        _mm256_sub_pd(v_one,
-                      _mm256_mul_pd(_mm256_mul_pd(qt, v_inv_ri), invq)));
-    if (_mm256_movemask_pd(_mm256_cmp_pd(val, val, _CMP_UNORD_Q)) != 0) {
-      break;
-    }
-    _mm256_storeu_pd(qt_next + t, qt);
-    _mm256_storeu_pd(dist + t, _mm256_sqrt_pd(_mm256_max_pd(v_zero, val)));
-  }
-  return t;
-}
+template <typename T>
+struct Lanes;
 
-/// 8-wide F32 dist_calc span, unrolled 2x; contract identical to
-/// dist_calc_span_f64.
-inline std::int64_t dist_calc_span_f32(
-    std::int64_t n, float df_ri, float dg_ri, float inv_ri, float two_m,
-    const float* qt_prev_m1, const float* MPSIM_SIMD_RESTRICT df_q,
-    const float* MPSIM_SIMD_RESTRICT dg_q,
-    const float* MPSIM_SIMD_RESTRICT inv_q, float* qt_next,
-    float* MPSIM_SIMD_RESTRICT dist) {
-  if (std::isnan(df_ri) || std::isnan(dg_ri) || std::isnan(inv_ri)) return 0;
-  const __m256 v_df_ri = _mm256_set1_ps(df_ri);
-  const __m256 v_dg_ri = _mm256_set1_ps(dg_ri);
-  const __m256 v_inv_ri = _mm256_set1_ps(inv_ri);
-  const __m256 v_two_m = _mm256_set1_ps(two_m);
-  const __m256 v_one = _mm256_set1_ps(1.0f);
-  const __m256 v_zero = _mm256_setzero_ps();
-  std::int64_t t = 0;
-  for (; t + 16 <= n; t += 16) {
-    const __m256 prev0 = _mm256_loadu_ps(qt_prev_m1 + t);
-    const __m256 prev1 = _mm256_loadu_ps(qt_prev_m1 + t + 8);
-    const __m256 dgq0 = _mm256_loadu_ps(dg_q + t);
-    const __m256 dgq1 = _mm256_loadu_ps(dg_q + t + 8);
-    const __m256 dfq0 = _mm256_loadu_ps(df_q + t);
-    const __m256 dfq1 = _mm256_loadu_ps(df_q + t + 8);
-    const __m256 invq0 = _mm256_loadu_ps(inv_q + t);
-    const __m256 invq1 = _mm256_loadu_ps(inv_q + t + 8);
-    const __m256 qt0 = _mm256_add_ps(
-        _mm256_add_ps(prev0, _mm256_mul_ps(v_df_ri, dgq0)),
-        _mm256_mul_ps(v_dg_ri, dfq0));
-    const __m256 qt1 = _mm256_add_ps(
-        _mm256_add_ps(prev1, _mm256_mul_ps(v_df_ri, dgq1)),
-        _mm256_mul_ps(v_dg_ri, dfq1));
-    const __m256 val0 = _mm256_mul_ps(
-        v_two_m, _mm256_sub_ps(v_one, _mm256_mul_ps(
-                                          _mm256_mul_ps(qt0, v_inv_ri),
-                                          invq0)));
-    const __m256 val1 = _mm256_mul_ps(
-        v_two_m, _mm256_sub_ps(v_one, _mm256_mul_ps(
-                                          _mm256_mul_ps(qt1, v_inv_ri),
-                                          invq1)));
-    const __m256 unord =
-        _mm256_or_ps(_mm256_cmp_ps(val0, val0, _CMP_UNORD_Q),
-                     _mm256_cmp_ps(val1, val1, _CMP_UNORD_Q));
-    if (_mm256_movemask_ps(unord) != 0) break;
-    _mm256_storeu_ps(qt_next + t, qt0);
-    _mm256_storeu_ps(qt_next + t + 8, qt1);
-    _mm256_storeu_ps(dist + t, _mm256_sqrt_ps(_mm256_max_ps(v_zero, val0)));
-    _mm256_storeu_ps(dist + t + 8,
-                     _mm256_sqrt_ps(_mm256_max_ps(v_zero, val1)));
-  }
-  for (; t + 8 <= n; t += 8) {
-    const __m256 prev = _mm256_loadu_ps(qt_prev_m1 + t);
-    const __m256 dgq = _mm256_loadu_ps(dg_q + t);
-    const __m256 dfq = _mm256_loadu_ps(df_q + t);
-    const __m256 invq = _mm256_loadu_ps(inv_q + t);
-    const __m256 qt = _mm256_add_ps(
-        _mm256_add_ps(prev, _mm256_mul_ps(v_df_ri, dgq)),
-        _mm256_mul_ps(v_dg_ri, dfq));
-    const __m256 val = _mm256_mul_ps(
-        v_two_m,
-        _mm256_sub_ps(v_one,
-                      _mm256_mul_ps(_mm256_mul_ps(qt, v_inv_ri), invq)));
-    // End-of-chain NaN screen; see dist_calc_span_f64.
-    if (_mm256_movemask_ps(_mm256_cmp_ps(val, val, _CMP_UNORD_Q)) != 0) {
-      break;
-    }
-    _mm256_storeu_ps(qt_next + t, qt);
-    _mm256_storeu_ps(dist + t, _mm256_sqrt_ps(_mm256_max_ps(v_zero, val)));
-  }
-  return t;
-}
+template <>
+struct Lanes<double> {
+  using V = __m256d;
+  using Sel = AllLanes;
+  using Mask = __m256d;
+  static constexpr std::size_t kLanes = 4;
+  static constexpr int kUnroll = 2;
+  static constexpr bool kMaskedTail = false;
+  static Sel kAll() { return {}; }
+  static V set1(double x) { return _mm256_set1_pd(x); }
+  static V load(Sel, const double* p) { return _mm256_loadu_pd(p); }
+  static void store(double* p, Sel, V v) { _mm256_storeu_pd(p, v); }
+  static V add(V a, V b) { return _mm256_add_pd(a, b); }
+  static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
+  static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  static V max(V a, V b) { return _mm256_max_pd(a, b); }
+  static V sqrt(V a) { return _mm256_sqrt_pd(a); }
+  static Mask unord(Sel, V a) { return _mm256_cmp_pd(a, a, _CMP_UNORD_Q); }
+  static Mask either(Mask a, Mask b) { return _mm256_or_pd(a, b); }
+  static bool any(Mask m) { return _mm256_movemask_pd(m) != 0; }
+};
 
-}  // namespace mpsim::mp::simd
+template <>
+struct Lanes<float> {
+  using V = __m256;
+  using Sel = AllLanes;
+  using Mask = __m256;
+  static constexpr std::size_t kLanes = 8;
+  static constexpr int kUnroll = 2;
+  static constexpr bool kMaskedTail = false;
+  static Sel kAll() { return {}; }
+  static V set1(float x) { return _mm256_set1_ps(x); }
+  static V load(Sel, const float* p) { return _mm256_loadu_ps(p); }
+  static void store(float* p, Sel, V v) { _mm256_storeu_ps(p, v); }
+  static V add(V a, V b) { return _mm256_add_ps(a, b); }
+  static V sub(V a, V b) { return _mm256_sub_ps(a, b); }
+  static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+  static V max(V a, V b) { return _mm256_max_ps(a, b); }
+  static V sqrt(V a) { return _mm256_sqrt_ps(a); }
+  static Mask unord(Sel, V a) { return _mm256_cmp_ps(a, a, _CMP_UNORD_Q); }
+  static Mask either(Mask a, Mask b) { return _mm256_or_ps(a, b); }
+  static bool any(Mask m) { return _mm256_movemask_ps(m) != 0; }
+};
+
+#include "mp/simd/kernels_native_body.inc"
+
+}  // namespace mpsim::mp::simd::avx
 
 #endif  // MPSIM_SIMD_NATIVE
+
+#ifdef MPSIM_SIMD_AVX512
+
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx512bw,avx512vl,avx512dq")
+#pragma GCC optimize("fp-contract=off")
+// GCC 12 reports the _mm512_undefined_* pass-through operand of
+// _mm512_max_pd / _mm512_sqrt_pd as maybe-uninitialized once inlined.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+namespace mpsim::mp::simd::avx512 {
+
+template <typename T>
+struct Lanes;
+
+// Sel (load/store lanes) and Mask (compare results) are both opmasks.
+// Full blocks pass the constant all-ones mask, which folds the masked
+// moves to plain vector moves; masked-off lanes of a load read +0 and
+// never fault.
+template <>
+struct Lanes<double> {
+  using V = __m512d;
+  using Sel = __mmask8;
+  using Mask = __mmask8;
+  static constexpr std::size_t kLanes = 8;
+  static constexpr int kUnroll = 1;
+  static constexpr bool kMaskedTail = true;
+  static Sel kAll() { return Sel(0xff); }
+  static Sel tail(std::size_t r) { return Sel((1u << r) - 1u); }
+  static V set1(double x) { return _mm512_set1_pd(x); }
+  static V load(Sel k, const double* p) { return _mm512_maskz_loadu_pd(k, p); }
+  static void store(double* p, Sel k, V v) { _mm512_mask_storeu_pd(p, k, v); }
+  static V add(V a, V b) { return _mm512_add_pd(a, b); }
+  static V sub(V a, V b) { return _mm512_sub_pd(a, b); }
+  static V mul(V a, V b) { return _mm512_mul_pd(a, b); }
+  static V div(V a, V b) { return _mm512_div_pd(a, b); }
+  static V max(V a, V b) { return _mm512_max_pd(a, b); }
+  static V sqrt(V a) { return _mm512_sqrt_pd(a); }
+  static Mask unord(Sel k, V a) {
+    return _mm512_mask_cmp_pd_mask(k, a, a, _CMP_UNORD_Q);
+  }
+  static Mask lt(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ); }
+  static V blend(Mask m, V a, V b) { return _mm512_mask_blend_pd(m, a, b); }
+  /// v, except a | quiet-bit where a is NaN.
+  static V keep_nan(V v, V a) {
+    return _mm512_mask_or_pd(v, unord(kAll(), a), a,
+                             _mm512_castsi512_pd(_mm512_set1_epi64(1ll << 51)));
+  }
+  static bool any(Mask m) { return m != 0; }
+  static void store_index(std::int64_t* p, Mask m, long long row) {
+    _mm512_mask_storeu_epi64(p, m, _mm512_set1_epi64(row));
+  }
+};
+
+template <>
+struct Lanes<float> {
+  using V = __m512;
+  using Sel = __mmask16;
+  using Mask = __mmask16;
+  static constexpr std::size_t kLanes = 16;
+  static constexpr int kUnroll = 1;
+  static constexpr bool kMaskedTail = true;
+  static Sel kAll() { return Sel(0xffff); }
+  static Sel tail(std::size_t r) { return Sel((1u << r) - 1u); }
+  static V set1(float x) { return _mm512_set1_ps(x); }
+  static V load(Sel k, const float* p) { return _mm512_maskz_loadu_ps(k, p); }
+  static void store(float* p, Sel k, V v) { _mm512_mask_storeu_ps(p, k, v); }
+  static V add(V a, V b) { return _mm512_add_ps(a, b); }
+  static V sub(V a, V b) { return _mm512_sub_ps(a, b); }
+  static V mul(V a, V b) { return _mm512_mul_ps(a, b); }
+  static V div(V a, V b) { return _mm512_div_ps(a, b); }
+  static V max(V a, V b) { return _mm512_max_ps(a, b); }
+  static V sqrt(V a) { return _mm512_sqrt_ps(a); }
+  static Mask unord(Sel k, V a) {
+    return _mm512_mask_cmp_ps_mask(k, a, a, _CMP_UNORD_Q);
+  }
+  static Mask lt(V a, V b) { return _mm512_cmp_ps_mask(a, b, _CMP_LT_OQ); }
+  static V blend(Mask m, V a, V b) { return _mm512_mask_blend_ps(m, a, b); }
+  static V keep_nan(V v, V a) {
+    return _mm512_mask_or_ps(v, unord(kAll(), a), a,
+                             _mm512_castsi512_ps(_mm512_set1_epi32(1 << 22)));
+  }
+  static bool any(Mask m) { return m != 0; }
+  /// 16 int64 index lanes: two 8-lane masked stores.
+  static void store_index(std::int64_t* p, Mask m, long long row) {
+    const __m512i v = _mm512_set1_epi64(row);
+    _mm512_mask_storeu_epi64(p, __mmask8(m), v);
+    _mm512_mask_storeu_epi64(p + 8, __mmask8(m >> 8), v);
+  }
+};
+
+#include "mp/simd/kernels_native_body.inc"
+
+}  // namespace mpsim::mp::simd::avx512
+
+#pragma GCC diagnostic pop
+#pragma GCC pop_options
+
+#endif  // MPSIM_SIMD_AVX512

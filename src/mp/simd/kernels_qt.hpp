@@ -3,7 +3,8 @@
 // has to advance the Eq. (1) diagonal recurrence — the NEXT row's QT
 // depends on this row's — but its distance, sort and profile-merge work
 // can be dropped.  These kernels are the QT prefix of the dist_calc spans
-// (kernels_native/f16/avx2), op for op:
+// (kernels_f16/avx2/avx512fp16; the native QT-only spans live with their
+// dist spans in kernels_native_body.inc), op for op:
 //
 //   qt = (qt_prev + df_ri * dg_q) + dg_ri * df_q
 //
@@ -19,70 +20,6 @@
 #pragma once
 
 #include <cstdint>
-
-#include "mp/simd/dispatch.hpp"
-
-#ifdef MPSIM_SIMD_NATIVE
-
-#include <immintrin.h>
-
-#include <cmath>
-
-namespace mpsim::mp::simd {
-
-/// 4-wide F64 QT-only span; pointer contract matches dist_calc_span_f64
-/// (span-relative, qt_prev_m1 pre-shifted one column left, in-place
-/// qt_next == qt_prev_m1 allowed).  Returns columns processed.
-inline std::int64_t qt_only_span_f64(std::int64_t n, double df_ri,
-                                     double dg_ri, const double* qt_prev_m1,
-                                     const double* MPSIM_SIMD_RESTRICT df_q,
-                                     const double* MPSIM_SIMD_RESTRICT dg_q,
-                                     double* qt_next) {
-  if (std::isnan(df_ri) || std::isnan(dg_ri)) return 0;
-  const __m256d v_df_ri = _mm256_set1_pd(df_ri);
-  const __m256d v_dg_ri = _mm256_set1_pd(dg_ri);
-  std::int64_t t = 0;
-  for (; t + 4 <= n; t += 4) {
-    const __m256d prev = _mm256_loadu_pd(qt_prev_m1 + t);
-    const __m256d dgq = _mm256_loadu_pd(dg_q + t);
-    const __m256d dfq = _mm256_loadu_pd(df_q + t);
-    const __m256d qt = _mm256_add_pd(
-        _mm256_add_pd(prev, _mm256_mul_pd(v_df_ri, dgq)),
-        _mm256_mul_pd(v_dg_ri, dfq));
-    // End-of-chain NaN screen: all three streams feed qt, break before
-    // the store (see kernels_native.hpp for the operand-order hazard).
-    if (_mm256_movemask_pd(_mm256_cmp_pd(qt, qt, _CMP_UNORD_Q)) != 0) break;
-    _mm256_storeu_pd(qt_next + t, qt);
-  }
-  return t;
-}
-
-/// 8-wide F32 QT-only span; contract identical to qt_only_span_f64.
-inline std::int64_t qt_only_span_f32(std::int64_t n, float df_ri,
-                                     float dg_ri, const float* qt_prev_m1,
-                                     const float* MPSIM_SIMD_RESTRICT df_q,
-                                     const float* MPSIM_SIMD_RESTRICT dg_q,
-                                     float* qt_next) {
-  if (std::isnan(df_ri) || std::isnan(dg_ri)) return 0;
-  const __m256 v_df_ri = _mm256_set1_ps(df_ri);
-  const __m256 v_dg_ri = _mm256_set1_ps(dg_ri);
-  std::int64_t t = 0;
-  for (; t + 8 <= n; t += 8) {
-    const __m256 prev = _mm256_loadu_ps(qt_prev_m1 + t);
-    const __m256 dgq = _mm256_loadu_ps(dg_q + t);
-    const __m256 dfq = _mm256_loadu_ps(df_q + t);
-    const __m256 qt = _mm256_add_ps(
-        _mm256_add_ps(prev, _mm256_mul_ps(v_df_ri, dgq)),
-        _mm256_mul_ps(v_dg_ri, dfq));
-    if (_mm256_movemask_ps(_mm256_cmp_ps(qt, qt, _CMP_UNORD_Q)) != 0) break;
-    _mm256_storeu_ps(qt_next + t, qt);
-  }
-  return t;
-}
-
-}  // namespace mpsim::mp::simd
-
-#endif  // MPSIM_SIMD_NATIVE
 
 #include "mp/simd/kernels_f16.hpp"
 

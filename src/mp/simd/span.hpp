@@ -52,6 +52,16 @@ inline constexpr std::size_t kNativeHalfSortMaxDims = 64;
 #endif
 
 template <typename T>
+inline constexpr bool kIsNative =
+    std::is_same_v<T, double> || std::is_same_v<T, float>;
+
+/// Whether kAvx512 runs the native recurrence spans at 512 bits, chosen by
+/// BM_DistCalcRow: the 8 x f64 span beats the AVX one, the 16 x f32 span
+/// (every 64-byte load splits a cache line) loses to it.
+template <typename T>
+inline constexpr bool kWideNativeSpan = std::is_same_v<T, double>;
+
+template <typename T>
 Level dist_calc_variant() {
   const Level lv = active_level();
 #ifdef MPSIM_SIMD_AVX512FP16
@@ -64,8 +74,13 @@ Level dist_calc_variant() {
     return lv >= kF16C ? kF16C : kScalar;
   }
 #endif
+#ifdef MPSIM_SIMD_AVX512
+  if constexpr (kWideNativeSpan<T>) {
+    if (lv >= kAvx512) return kAvx512;
+  }
+#endif
 #ifdef MPSIM_SIMD_NATIVE
-  if constexpr (std::is_same_v<T, double> || std::is_same_v<T, float>) {
+  if constexpr (kIsNative<T>) {
     return lv >= kAvx2 ? kAvx2 : kScalar;
   }
 #endif
@@ -78,8 +93,8 @@ Level dist_calc_variant() {
   return kScalar;
 }
 
-/// Sort/scan variant for d dimensions (the native-half kernel is gated on
-/// d, see kNativeHalfSortMaxDims).
+/// Sort/scan variant for d dimensions (the AVX-512 kernels are gated on d,
+/// see kNativeHalfSortMaxDims and avx512::kSortMaxDims).
 template <typename T>
 Level sort_scan_variant(std::size_t d) {
   const Level lv = active_level();
@@ -98,7 +113,13 @@ Level sort_scan_variant(std::size_t d) {
     return lv >= kAvx2 ? kAvx2 : kScalar;
   }
 #endif
-  // Native types: the branch-free scalar rows autovectorize already.
+#ifdef MPSIM_SIMD_AVX512
+  if constexpr (kIsNative<T>) {
+    if (lv >= kAvx512 && d <= avx512::kSortMaxDims) return kAvx512;
+  }
+#endif
+  // Below kAvx512 the native types run the scalar rows (mp/kernels.hpp),
+  // which the compiler vectorizes at the build's AVX width.
   (void)lv; (void)d;
   return kScalar;
 }
@@ -114,6 +135,11 @@ Level merge_variant() {
 #ifdef MPSIM_SIMD_AVX2
   if constexpr (std::is_same_v<T, float16> || kIsSoftFloat<T>) {
     return lv >= kAvx2 ? kAvx2 : kScalar;
+  }
+#endif
+#ifdef MPSIM_SIMD_AVX512
+  if constexpr (kIsNative<T>) {
+    if (lv >= kAvx512) return kAvx512;
   }
 #endif
   (void)lv;
@@ -246,15 +272,18 @@ inline std::int64_t dist_calc_span(std::int64_t n, CT df_ri, CT dg_ri,
   }
 #endif
 #ifdef MPSIM_SIMD_NATIVE
-  if constexpr (std::is_same_v<CT, double>) {
-    if (active_level() >= kAvx2) {
-      return dist_calc_span_f64(n, df_ri, dg_ri, inv_ri, two_m, qt_prev_m1,
-                                df_q, dg_q, inv_q, qt_next, dist);
+  if constexpr (kIsNative<CT>) {
+    const Level lv = dist_calc_variant<CT>();
+#ifdef MPSIM_SIMD_AVX512
+    if (lv == kAvx512) {
+      return avx512::dist_calc_span(n, df_ri, dg_ri, inv_ri, two_m,
+                                    qt_prev_m1, df_q, dg_q, inv_q, qt_next,
+                                    dist);
     }
-  } else if constexpr (std::is_same_v<CT, float>) {
-    if (active_level() >= kAvx2) {
-      return dist_calc_span_f32(n, df_ri, dg_ri, inv_ri, two_m, qt_prev_m1,
-                                df_q, dg_q, inv_q, qt_next, dist);
+#endif
+    if (lv == kAvx2) {
+      return avx::dist_calc_span(n, df_ri, dg_ri, inv_ri, two_m, qt_prev_m1,
+                                 df_q, dg_q, inv_q, qt_next, dist);
     }
   }
 #endif
@@ -307,15 +336,18 @@ inline std::int64_t qt_only_span(std::int64_t n, CT df_ri, CT dg_ri,
   }
 #endif
 #ifdef MPSIM_SIMD_NATIVE
-  if constexpr (std::is_same_v<CT, double>) {
-    if (active_level() >= kAvx2) {
-      return qt_only_span_f64(n, df_ri, dg_ri, qt_prev_m1, df_q, dg_q,
-                              qt_next);
+  if constexpr (kIsNative<CT>) {
+    // Same width as the dist_calc span it is the QT prefix of.
+    const Level lv = dist_calc_variant<CT>();
+#ifdef MPSIM_SIMD_AVX512
+    if (lv == kAvx512) {
+      return avx512::qt_only_span(n, df_ri, dg_ri, qt_prev_m1, df_q, dg_q,
+                                  qt_next);
     }
-  } else if constexpr (std::is_same_v<CT, float>) {
-    if (active_level() >= kAvx2) {
-      return qt_only_span_f32(n, df_ri, dg_ri, qt_prev_m1, df_q, dg_q,
-                              qt_next);
+#endif
+    if (lv == kAvx2) {
+      return avx::qt_only_span(n, df_ri, dg_ri, qt_prev_m1, df_q, dg_q,
+                               qt_next);
     }
   }
 #endif
@@ -435,12 +467,19 @@ inline void sort_scan_rows_fp16(float16* blk, std::size_t bstride,
 }
 #endif  // MPSIM_SIMD_AVX512FP16
 
-/// Row-wise block sort + scan-average for the emulated storage types;
-/// true when a vector variant handled the (pre-padded) block, false when
-/// the caller must run its scalar gather fallback.
+/// Row-wise block sort + scan-average; true when a vector variant handled
+/// the (pre-padded) block, false when the caller must run its scalar rows
+/// (native types) or scalar gather fallback (emulated types).
 template <typename ST>
-inline bool sort_scan_rows_emulated(ST* blk, std::size_t bstride,
-                                    std::size_t bn, std::size_t d) {
+inline bool sort_scan_rows_vector(ST* blk, std::size_t bstride,
+                                  std::size_t bn, std::size_t d) {
+#ifdef MPSIM_SIMD_AVX512
+  if constexpr (kIsNative<ST>) {
+    if (sort_scan_variant<ST>(d) == kAvx512) {
+      return avx512::sort_scan_rows(blk, bstride, bn, d);
+    }
+  }
+#endif
 #ifdef MPSIM_SIMD_AVX512FP16
   if constexpr (std::is_same_v<ST, float16>) {
     if (sort_scan_variant<ST>(d) == kAvx512Fp16) {
@@ -475,11 +514,18 @@ inline bool sort_scan_rows_emulated(ST* blk, std::size_t bstride,
 /// src[j] < prof[j] (strict — NaN never wins, earliest row wins ties),
 /// prof[j] takes src[j]'s raw payload and idx[j] takes `row`.  Returns
 /// elements handled by the vector kernel (the caller's scalar selects
-/// finish the tail; 0 when dispatched scalar or for the native types,
-/// whose scalar merge autovectorizes).
+/// finish the tail; 0 when dispatched scalar, and for the native types
+/// below kAvx512, whose scalar merge autovectorizes).
 template <typename ST>
 inline std::int64_t merge_rows(const ST* src, ST* prof, std::int64_t* idx,
                                std::int64_t n, std::int64_t row) {
+#ifdef MPSIM_SIMD_AVX512
+  if constexpr (kIsNative<ST>) {
+    if (active_level() >= kAvx512) {
+      return avx512::merge_rows(src, prof, idx, n, (long long)(row));
+    }
+  }
+#endif
 #ifdef MPSIM_SIMD_AVX512FP16
   if constexpr (std::is_same_v<ST, float16>) {
     if (active_level() >= kAvx512Fp16) {

@@ -8,7 +8,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <optional>
 #include <sstream>
 
 #include "cluster/coordinator.hpp"
@@ -25,6 +27,11 @@ namespace {
 
 constexpr int kPollMs = 100;  // shutdown-notice latency of blocking loops
 
+// How long a partially received request may keep its connection open once
+// a drain starts: long enough for a client mid-send to finish its line,
+// short enough that a client which went quiet cannot hold the daemon.
+constexpr auto kDrainGrace = std::chrono::seconds(2);
+
 struct ServeMetrics {
   Counter& requests;
   Counter& queries;
@@ -33,6 +40,7 @@ struct ServeMetrics {
   Counter& jobs_completed;
   Counter& connections;
   Counter& rejected_oversize;
+  Counter& drain_forced_close;
   Histogram& job_seconds;
 
   static ServeMetrics& get() {
@@ -44,6 +52,7 @@ struct ServeMetrics {
                           reg.counter("serve.jobs_completed"),
                           reg.counter("serve.connections"),
                           reg.counter("serve.rejected_oversize"),
+                          reg.counter("serve.drain_forced_close"),
                           reg.histogram("serve.job_seconds")};
     return m;
   }
@@ -64,17 +73,19 @@ bool write_all(int fd, const char* data, std::size_t size) {
   return true;
 }
 
-enum class ReadResult { kLine, kClosed, kOversize };
+enum class ReadResult { kLine, kClosed, kOversize, kDrainTimeout };
 
 /// Reads until '\n' with a poll loop so a drain can close idle
 /// connections.  kLine places the (newline-stripped) line in `line`;
 /// kClosed means EOF/error/drain-while-idle; kOversize means the line
-/// exceeds kMaxRequestLineBytes.  `scanned` counts the leading bytes of
-/// `buffer` already known to hold no newline, so each byte is searched
-/// once however the line arrives in pieces, and `buffer` never grows past
-/// the cap plus one read.
+/// exceeds kMaxRequestLineBytes; kDrainTimeout means a partial request
+/// was still incomplete kDrainGrace after the drain started.  `scanned`
+/// counts the leading bytes of `buffer` already known to hold no newline,
+/// so each byte is searched once however the line arrives in pieces, and
+/// `buffer` never grows past the cap plus one read.
 ReadResult read_line(int fd, std::string& buffer, std::size_t& scanned,
                      std::string& line) {
+  std::optional<std::chrono::steady_clock::time_point> drain_deadline;
   for (;;) {
     const auto newline = buffer.find('\n', scanned);
     if (newline != std::string::npos) {
@@ -87,9 +98,16 @@ ReadResult read_line(int fd, std::string& buffer, std::size_t& scanned,
     }
     scanned = buffer.size();
     if (scanned > kMaxRequestLineBytes) return ReadResult::kOversize;
-    // Only idle connections (no partial request buffered) close on drain:
-    // a half-sent request still gets parsed and answered or rejected.
-    if (shutdown_requested() && buffer.empty()) return ReadResult::kClosed;
+    // Idle connections close on drain at once; a half-sent request gets
+    // kDrainGrace to complete its line, so it is still parsed and answered
+    // or rejected, but a client that stopped sending cannot stall the
+    // drain.
+    if (shutdown_requested()) {
+      if (buffer.empty()) return ReadResult::kClosed;
+      const auto now = std::chrono::steady_clock::now();
+      if (!drain_deadline) drain_deadline = now + kDrainGrace;
+      if (now >= *drain_deadline) return ReadResult::kDrainTimeout;
+    }
     struct pollfd pfd = {fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, kPollMs);
     if (ready < 0 && errno == EINTR) continue;
@@ -214,6 +232,10 @@ void Server::connection_loop(int fd, std::string client) {
   for (;;) {
     const ReadResult got = read_line(fd, buffer, scanned, line);
     if (got == ReadResult::kClosed) break;
+    if (got == ReadResult::kDrainTimeout) {
+      ServeMetrics::get().drain_forced_close.add();
+      break;
+    }
     if (got == ReadResult::kOversize) {
       // The rest of the line cannot be skipped without reading it, so the
       // connection ends after the error header.

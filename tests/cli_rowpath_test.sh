@@ -58,12 +58,12 @@ run() {  # run <outfile> <extra args...>
 
 # --simd= is a pure performance knob: every dispatch level must produce
 # byte-identical profiles (levels above the host clamp, so asking for
-# avx2 or avx512fp16 is safe anywhere).  BF16 rides along to cover the
+# avx2, avx512 or avx512fp16 is safe anywhere).  BF16 rides along to cover the
 # AVX2 payload kernels.
 for mode in FP64 FP16 Mixed BF16; do
   run "$WORK/s_scalar_$mode.csv" --reference="$WORK/ref3.csv" \
       --self-join --window=32 --mode="$mode" --tiles=2 --simd=scalar
-  for level in f16c avx2 avx512fp16 auto; do
+  for level in f16c avx2 avx512 avx512fp16 auto; do
     run "$WORK/s_${level}_$mode.csv" --reference="$WORK/ref3.csv" \
         --self-join --window=32 --mode="$mode" --tiles=2 --simd="$level"
     cmp "$WORK/s_${level}_$mode.csv" "$WORK/s_scalar_$mode.csv"

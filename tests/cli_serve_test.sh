@@ -11,6 +11,9 @@
 #     flag (the strict CLI parsing surfaces through the daemon);
 #   * SIGTERM drains the in-flight query (complete, byte-correct
 #     response), the daemon flushes --metrics-out and exits 143;
+#   * a client holding a half-sent request line cannot stall that drain:
+#     its connection closes after the drain grace and the daemon still
+#     exits 143;
 #   * a SIGTERM'd one-shot mpsim_cli run exits 143 as well (128+signo,
 #     not the historical blanket 130).
 # Driven by CTest; $1 = build dir with the tools.  Needs python3.
@@ -212,6 +215,58 @@ assert c["serve.jobs_completed"] >= 19, c  # 9 computed + 9 cached + drain
 assert c["serve.connections"] >= 11, c
 assert c["serve.responses.ok"] >= 20, c
 print(f"serve metrics OK ({len(c)} counters)")
+EOF
+
+# Drain with a half-sent request: a client sends 23 bytes with no newline
+# and goes quiet.  After SIGTERM the daemon gives the partial line its
+# drain grace (2 s), closes the connection, counts it and exits 143.  A
+# daemon still running 10 s after SIGTERM is SIGKILLed, which fails the
+# exit-status check with 137.
+"$BUILD/tools/mpsim_serve" --socket="$WORK/stall.sock" --executors=1 \
+    --metrics-out="$WORK/stall_metrics.json" > "$WORK/stall.log" 2>&1 &
+SERVE_PID=$!
+for _ in $(seq 1 100); do
+  [ -S "$WORK/stall.sock" ] && break
+  sleep 0.1
+done
+[ -S "$WORK/stall.sock" ]
+python3 - "$WORK/stall.sock" "$SERVE_PID" <<'EOF'
+import os, signal, socket, sys, time
+conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+conn.connect(sys.argv[1])
+partial = b"query --window=32 --mod"
+assert len(partial) == 23
+conn.sendall(partial)
+time.sleep(0.3)  # the connection thread has buffered the partial line
+os.kill(int(sys.argv[2]), signal.SIGTERM)
+start = time.monotonic()
+conn.settimeout(15)
+assert conn.recv(1) == b""  # closed by the daemon, no response
+elapsed = time.monotonic() - start
+assert 1.5 <= elapsed < 10, elapsed
+print(f"half-sent request closed {elapsed:.1f}s into the drain")
+pid = int(sys.argv[2])
+while time.monotonic() - start < 10:
+    try:  # exited = zombie until the shell reaps it, or gone
+        with open(f"/proc/{pid}/stat") as stat:
+            if stat.read().rsplit(")", 1)[1].split()[0] == "Z":
+                break
+    except FileNotFoundError:
+        break
+    time.sleep(0.05)
+else:
+    os.kill(pid, signal.SIGKILL)
+EOF
+set +e
+wait "$SERVE_PID"
+SERVE_STATUS=$?
+set -e
+SERVE_PID=""
+[ "$SERVE_STATUS" -eq 143 ]
+python3 - "$WORK/stall_metrics.json" <<'EOF'
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+assert c["serve.drain_forced_close"] == 1, c
 EOF
 
 # One-shot CLI SIGTERM leg: a hang-stalled run killed with SIGTERM must

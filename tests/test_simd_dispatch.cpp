@@ -3,24 +3,28 @@
 // Every kernel variant in src/mp/simd/ claims bit-identity with the
 // templated scalar bodies; this suite enforces it by running the SAME
 // end-to-end computation at every dispatch level (scalar / f16c / avx2 /
-// avx512fp16, clamped to what the host supports) and across the diagonal-batched and
-// unbatched row executions, then comparing FNV checksums of the full
-// profile + index output.  NaN-poisoned runs (fault-injector staging
+// avx512 / avx512fp16, clamped to what the host supports) and across the
+// diagonal-batched and unbatched row executions, then comparing FNV
+// checksums of the full profile + index output.  NaN-poisoned runs (fault-injector staging
 // corruption) are included: they drive the kernels' NaN fallbacks, where
 // operand-order-dependent hardware NaN propagation would diverge from the
 // emulated operators if the screens were wrong.
 //
-// Kernel-level checks follow: a contraction guard run at every level, and
-// edge cases of the native-half tier against the scalar float16
-// operators.  The dispatch plumbing itself (parse/clamp/env) and the
-// grained parallel_for the batched executor relies on are covered at the
-// bottom.
+// Kernel-level checks follow: a contraction guard run at every level, edge
+// cases of the native-half tier against the scalar float16 operators and
+// of the AVX-512F f64/f32 rows against the scalar rows, and the exact
+// power-of-two scan divisor.  The dispatch plumbing itself
+// (parse/clamp/env) and the grained parallel_for the batched executor
+// relies on are covered at the bottom.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -183,39 +187,70 @@ TEST(SimdDispatchEquality, BatchedVersusUnbatchedRows) {
   }
 }
 
-// --- FP16 kernels against the scalar float16 operators ---------------------
+// --- Row kernels against the scalar operators -----------------------------
 
 float16 h(std::uint16_t bits) { return float16::from_bits(bits); }
 
-/// Operands of the FP16 row spans over n columns; lane t of the spans reads
+/// Raw encoding of a half, float or double (NaN payloads and signed zeros
+/// compare exactly).
+template <typename T>
+auto bits_of(T v) {
+  if constexpr (std::is_same_v<T, float16>) {
+    return v.bits();
+  } else {
+    using U = std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
+    U u;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+  }
+}
+
+template <typename T>
+T from_bits(std::uint64_t u) {
+  if constexpr (std::is_same_v<T, float16>) {
+    return h(std::uint16_t(u));
+  } else {
+    using U = std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
+    const U narrow = U(u);
+    T v;
+    std::memcpy(&v, &narrow, sizeof v);
+    return v;
+  }
+}
+
+/// Operands of the row spans over n columns; lane t of the spans reads
 /// prev[t] (the pre-shifted previous QT row), df_q[t], dg_q[t], inv_q[t].
-struct Fp16Row {
-  float16 df_ri, dg_ri, inv_ri, two_m{64.0};
-  std::vector<float16> prev, df_q, dg_q, inv_q;
-  explicit Fp16Row(std::size_t n) : prev(n), df_q(n), dg_q(n), inv_q(n) {}
+template <typename T>
+struct Row {
+  T df_ri, dg_ri, inv_ri, two_m{64.0};
+  std::vector<T> prev, df_q, dg_q, inv_q;
+  explicit Row(std::size_t n) : prev(n), df_q(n), dg_q(n), inv_q(n) {}
   std::size_t size() const { return prev.size(); }
 
-  float16 qt(std::size_t t) const {
-    return prev[t] + df_ri * dg_q[t] + dg_ri * df_q[t];
+  T qt(std::size_t t) const {
+    return T(prev[t] + df_ri * dg_q[t] + dg_ri * df_q[t]);
   }
 };
+using Fp16Row = Row<float16>;
 
 /// dist_calc_span at the active level, finished by the scalar recurrence
 /// from wherever the span stopped (exactly the engine's contract).  With
 /// `in_place` the QT output overwrites the prev row (the batched
 /// executor's band).  Returns the span's handled count.
-std::int64_t run_dist_row(const Fp16Row& r, bool in_place,
-                          std::vector<float16>& qt, std::vector<float16>& dist) {
+template <typename T>
+std::int64_t run_dist_row(const Row<T>& r, bool in_place, std::vector<T>& qt,
+                          std::vector<T>& dist) {
   const std::size_t n = r.size();
+  const T sentinel = from_bits<T>(0x1234);
   qt = r.prev;
-  dist.assign(n, h(0x1234));
-  std::vector<float16> next(n, h(0x1234));
-  float16* out = in_place ? qt.data() : next.data();
-  const std::int64_t handled = mp::simd::dist_calc_span<float16>(
+  dist.assign(n, sentinel);
+  std::vector<T> next(n, sentinel);
+  T* out = in_place ? qt.data() : next.data();
+  const std::int64_t handled = mp::simd::dist_calc_span<T>(
       std::int64_t(n), r.df_ri, r.dg_ri, r.inv_ri, r.two_m, qt.data(),
       r.df_q.data(), r.dg_q.data(), r.inv_q.data(), out, dist.data());
   for (std::size_t t = std::size_t(handled); t < n; ++t) {
-    const float16 q = r.qt(t);
+    const T q = r.qt(t);
     out[t] = q;
     dist[t] = mp::qt_to_distance(q, r.inv_ri, r.inv_q[t], r.two_m);
   }
@@ -223,10 +258,11 @@ std::int64_t run_dist_row(const Fp16Row& r, bool in_place,
   return handled;
 }
 
-std::int64_t run_qt_row(const Fp16Row& r, std::vector<float16>& qt) {
+template <typename T>
+std::int64_t run_qt_row(const Row<T>& r, std::vector<T>& qt) {
   const std::size_t n = r.size();
-  qt.assign(n, h(0x1234));
-  const std::int64_t handled = mp::simd::qt_only_span<float16>(
+  qt.assign(n, from_bits<T>(0x1234));
+  const std::int64_t handled = mp::simd::qt_only_span<T>(
       std::int64_t(n), r.df_ri, r.dg_ri, r.prev.data(), r.df_q.data(),
       r.dg_q.data(), qt.data());
   for (std::size_t t = std::size_t(handled); t < n; ++t) qt[t] = r.qt(t);
@@ -234,69 +270,89 @@ std::int64_t run_qt_row(const Fp16Row& r, std::vector<float16>& qt) {
 }
 
 /// Bitwise comparison of both spans against the scalar operators.
-void expect_row_matches_scalar(const Fp16Row& r, const char* what) {
-  std::vector<float16> qt, dist, qt_in_place, dist_in_place, qt_only;
+template <typename T>
+void expect_row_matches_scalar(const Row<T>& r, const char* what) {
+  std::vector<T> qt, dist, qt_in_place, dist_in_place, qt_only;
   run_dist_row(r, false, qt, dist);
   run_dist_row(r, true, qt_in_place, dist_in_place);
   run_qt_row(r, qt_only);
   for (std::size_t t = 0; t < r.size(); ++t) {
-    const float16 q = r.qt(t);
-    const float16 dv = mp::qt_to_distance(q, r.inv_ri, r.inv_q[t], r.two_m);
+    const T q = r.qt(t);
+    const T dv = mp::qt_to_distance(q, r.inv_ri, r.inv_q[t], r.two_m);
     const auto level = mp::simd::to_string(mp::simd::active_level());
-    ASSERT_EQ(qt[t].bits(), q.bits()) << what << " qt t=" << t << " " << level;
-    ASSERT_EQ(dist[t].bits(), dv.bits()) << what << " dist t=" << t << " " << level;
-    ASSERT_EQ(qt_in_place[t].bits(), q.bits())
+    ASSERT_EQ(bits_of(qt[t]), bits_of(q))
+        << what << " qt t=" << t << " " << level;
+    ASSERT_EQ(bits_of(dist[t]), bits_of(dv))
+        << what << " dist t=" << t << " " << level;
+    ASSERT_EQ(bits_of(qt_in_place[t]), bits_of(q))
         << what << " in-place qt t=" << t << " " << level;
-    ASSERT_EQ(dist_in_place[t].bits(), dv.bits())
+    ASSERT_EQ(bits_of(dist_in_place[t]), bits_of(dv))
         << what << " in-place dist t=" << t << " " << level;
-    ASSERT_EQ(qt_only[t].bits(), q.bits())
+    ASSERT_EQ(bits_of(qt_only[t]), bits_of(q))
         << what << " qt_only t=" << t << " " << level;
   }
 }
 
 // Contraction guard.  Operands for which a fused a*b + c rounds
 // differently from the separately rounded product and sum, at each of the
-// three contractible spots of the recurrence:
-//   A: prev + df_ri * dg_q       (df_ri = 1 + 2^-10, dg_q = 1 + 2^-9)
-//   C: (...) + dg_ri * df_q      (dg_ri = 1 + 2^-10, df_q = 1 + 2^-9)
-//   B: 1 - (qt * inv_ri) * inv_q (qt = 1 + 2^-10, inv_q = 1 - 2^-10:
-//      the product rounds to 1, so only a fused form leaves 2^-20)
+// three contractible spots of the recurrence (u = the type's epsilon):
+//   A: prev + df_ri * dg_q       (df_ri = 1 + u, dg_q = 1 + 2u)
+//   C: (...) + dg_ri * df_q      (dg_ri = 1 + u, df_q = 1 + 2u)
+//   B: 1 - (qt * inv_ri) * inv_q (qt = 1 + u, inv_q = 1 - u: the product
+//      rounds to 1, so only a fused form leaves u^2)
 // A kernel built with mul+add contraction (vfmadd) moves QT or the
 // distance on these lanes and fails here by name, at whichever level
-// compiled it.  Levels above the host clamp.
-TEST(SimdKernels, NoFmaContractionAtAnyLevel) {
-  DispatchGuard guard;
-  const float16 one_p10 = h(0x3c01), one_p9 = h(0x3c02), one_m10 = h(0x3bfe);
+// compiled it — for halves, doubles and floats.  Levels above the host
+// clamp.
+template <typename T>
+Row<T> contraction_row(T one_pu, T one_p2u, T one_mu) {
+  const T one(1.0), minus_one(-1.0);
   // The operands must actually discriminate fused from unfused rounding.
-  ASSERT_NE(fma(one_p10, one_p9, h(0xbc00)).bits(),
-            (h(0xbc00) + one_p10 * one_p9).bits());
-  ASSERT_NE(fma(-one_p10, one_m10, h(0x3c00)).bits(),
-            (h(0x3c00) - one_p10 * one_m10).bits());
-
-  Fp16Row r(32 * 3 + 7);  // full blocks and a masked tail
-  r.df_ri = one_p10;
-  r.dg_ri = one_p10;
-  r.inv_ri = h(0x3c00);
+  using std::fma;
+  EXPECT_NE(bits_of(fma(one_pu, one_p2u, minus_one)),
+            bits_of(T(minus_one + one_pu * one_p2u)));
+  EXPECT_NE(bits_of(fma(-one_pu, one_mu, one)),
+            bits_of(T(one - one_pu * one_mu)));
+  Row<T> r(32 * 3 + 7);  // full blocks of every width and a tail
+  r.df_ri = one_pu;
+  r.dg_ri = one_pu;
+  r.inv_ri = one;
   for (std::size_t t = 0; t < r.size(); ++t) {
-    r.inv_q[t] = h(0x3c00);
+    r.inv_q[t] = one;
     switch (t % 3) {
       case 0:  // A
-        r.prev[t] = h(0xbc00);
-        r.dg_q[t] = one_p9;
+        r.prev[t] = minus_one;
+        r.dg_q[t] = one_p2u;
         break;
       case 1:  // C
-        r.prev[t] = h(0xbc00);
-        r.df_q[t] = one_p9;
+        r.prev[t] = minus_one;
+        r.df_q[t] = one_p2u;
         break;
       default:  // B
-        r.prev[t] = one_p10;
-        r.inv_q[t] = one_m10;
+        r.prev[t] = one_pu;
+        r.inv_q[t] = one_mu;
         break;
     }
   }
+  return r;
+}
+
+template <typename T>
+Row<T> native_contraction_row() {
+  const T u = std::numeric_limits<T>::epsilon();
+  return contraction_row<T>(T(1) + u, T(1) + 2 * u, T(1) - u);
+}
+
+TEST(SimdKernels, NoFmaContractionAtAnyLevel) {
+  DispatchGuard guard;
+  const auto half_row = contraction_row(h(0x3c01), h(0x3c02), h(0x3bfe));
+  const auto double_row = native_contraction_row<double>();
+  const auto float_row = native_contraction_row<float>();
   for (int lv = mp::simd::kScalar; lv <= mp::simd::kAvx512Fp16; ++lv) {
     mp::simd::set_override(mp::simd::Level(lv));
-    expect_row_matches_scalar(r, "contraction guard");
+    expect_row_matches_scalar(half_row, "contraction guard (half)");
+    expect_row_matches_scalar(double_row, "contraction guard (double)");
+    expect_row_matches_scalar(float_row, "contraction guard (float)");
   }
 }
 
@@ -505,6 +561,210 @@ TEST_F(NativeHalfKernels, MergeRowsMatchesScalarSelect) {
   }
 }
 
+// Edge cases of the AVX-512F f64/f32 rows, each kernel against the
+// scalar rows (sort_scan_block / the merge selects at kScalar): +-0 ties
+// in the compare-exchange, +inf distances and pad rows, subnormals,
+// column counts n % 8 and n % 16 in {0, 1, 7, 15}, d from 2 to 128, and
+// NaN columns — including two distinct NaN payloads meeting in one scan
+// add, where the payload that survives depends on operand order.
+template <typename T>
+class NativeRowKernels : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (mp::simd::detected_level() < mp::simd::kAvx512) {
+      GTEST_SKIP() << "host lacks AVX-512F/BW/VL/DQ";
+    }
+    mp::simd::set_override(mp::simd::kAvx512);
+  }
+  DispatchGuard guard_;
+};
+using NativeTypes = ::testing::Types<double, float>;
+TYPED_TEST_SUITE(NativeRowKernels, NativeTypes);
+
+constexpr std::size_t kNativeRowWidths[] = {1, 7, 15, 16, 17, 31, 32, 33};
+
+/// A padded column block of non-negative distances: subnormals, signed
+/// zeros (ties), large values, +inf, and +inf pad rows.
+template <typename T>
+std::vector<T> native_edge_block(Rng& rng, std::size_t bstride,
+                                 std::size_t d) {
+  const T inf = std::numeric_limits<T>::infinity();
+  std::vector<T> blk(mp::next_pow2(d) * bstride, inf);
+  for (std::size_t i = 0; i < d * bstride; ++i) {
+    const double r = rng.uniform(0.0, 1.0);
+    if (r < 0.1) {
+      blk[i] = std::numeric_limits<T>::denorm_min() *
+               T(1 + rng.uniform_index(1000));
+    } else if (r < 0.2) {
+      blk[i] = r < 0.15 ? T(-0.0) : T(0.0);
+    } else if (r < 0.25) {
+      blk[i] = std::numeric_limits<T>::max() / T(rng.uniform(1.0, 3.0));
+    } else if (r < 0.27) {
+      blk[i] = inf;
+    } else {
+      blk[i] = T(rng.uniform(0.0, 16.0));
+    }
+  }
+  return blk;
+}
+
+/// sort_scan_block at kAvx512 (dispatched, and the 512-bit kernel called
+/// directly for the d it handles) against the scalar rows, over the d
+/// output rows.
+template <typename T>
+void expect_native_block_matches_scalar(const std::vector<T>& blk,
+                                        std::size_t bstride, std::size_t bn,
+                                        std::size_t d, const char* what) {
+  std::vector<T> ref = blk;
+  mp::simd::set_override(mp::simd::kScalar);
+  mp::sort_scan_block(ref.data(), bstride, bn, d);
+  mp::simd::set_override(mp::simd::kAvx512);
+  std::vector<T> dispatched = blk, native = blk;
+  mp::sort_scan_block(dispatched.data(), bstride, bn, d);
+  const bool native_ran =
+      mp::simd::avx512::sort_scan_rows(native.data(), bstride, bn, d);
+  ASSERT_EQ(native_ran, d <= mp::simd::avx512::kSortMaxDims) << d;
+  if (!native_ran) native = ref;
+  for (std::size_t i = 0; i < d * bstride; ++i) {
+    ASSERT_EQ(bits_of(dispatched[i]), bits_of(ref[i]))
+        << what << " dispatched d=" << d << " bn=" << bn
+        << " row=" << i / bstride << " col=" << i % bstride;
+    ASSERT_EQ(bits_of(native[i]), bits_of(ref[i]))
+        << what << " 512-bit d=" << d << " bn=" << bn
+        << " row=" << i / bstride << " col=" << i % bstride;
+  }
+}
+
+TYPED_TEST(NativeRowKernels, SortScanMatchesScalarRows) {
+  using T = TypeParam;
+  Rng rng(61);
+  const T qnan = std::numeric_limits<T>::quiet_NaN();
+  const T snan = std::numeric_limits<T>::signaling_NaN();
+  // Two payloads that differ from each other and from the ISA-default
+  // NaN: a negative quiet NaN with a low payload bit, and +qNaN.
+  const T neg_nan = from_bits<T>(bits_of(-qnan) | 1);
+  for (const std::size_t d : {2ul, 3ul, 4ul, 5ul, 6ul, 7ul, 8ul, 9ul, 64ul,
+                              128ul}) {
+    for (const std::size_t bn : kNativeRowWidths) {
+      const std::size_t bstride = bn + 5;  // rows wider than the span
+      auto blk = native_edge_block<T>(rng, bstride, d);
+      expect_native_block_matches_scalar(blk, bstride, bn, d, "clean");
+      // A NaN distance at the first and the last column, then two
+      // distinct payloads (and an sNaN) meeting in one scan column.
+      const std::size_t last = bn - 1;
+      blk[0] = qnan;
+      blk[(d - 1) * bstride + last] = neg_nan;
+      expect_native_block_matches_scalar(blk, bstride, bn, d, "nan");
+      // In every column, so each position of the scalar rows' vector body
+      // and epilogues meets the pair.
+      for (std::size_t jj = 0; jj < bn; ++jj) {
+        blk[0 * bstride + jj] = qnan;
+        blk[1 * bstride + jj] = neg_nan;
+        if (d > 2 && jj % 2 == 0) blk[2 * bstride + jj] = snan;
+      }
+      expect_native_block_matches_scalar(blk, bstride, bn, d, "two nans");
+    }
+  }
+}
+
+TYPED_TEST(NativeRowKernels, MergeRowsMatchesScalarSelect) {
+  using T = TypeParam;
+  Rng rng(67);
+  const T qnan = std::numeric_limits<T>::quiet_NaN();
+  for (const std::size_t n : kNativeRowWidths) {
+    std::vector<T> src(n), prof(n);
+    std::vector<std::int64_t> idx(n + 16, -7);
+    for (std::size_t j = 0; j < n; ++j) {
+      const double r = rng.uniform(0.0, 1.0);
+      src[j] = r < 0.1   ? qnan
+               : r < 0.2 ? T(-0.0)
+               : r < 0.3 ? std::numeric_limits<T>::denorm_min()
+                         : T(rng.uniform(0.0, 4.0));
+      prof[j] = j % 5 == 0 ? T(0.0) : j % 7 == 0 ? src[j]
+                : j % 11 == 0 ? -qnan : T(rng.uniform(0.0, 4.0));
+    }
+    std::vector<T> ref_prof = prof;
+    std::vector<std::int64_t> ref_idx = idx;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (src[j] < ref_prof[j]) {
+        ref_prof[j] = src[j];
+        ref_idx[j] = 42;
+      }
+    }
+    EXPECT_EQ(mp::simd::merge_rows(src.data(), prof.data(), idx.data(),
+                                   std::int64_t(n), 42),
+              std::int64_t(n));
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(bits_of(prof[j]), bits_of(ref_prof[j]))
+          << "n=" << n << " j=" << j;
+    }
+    EXPECT_EQ(idx, ref_idx) << "n=" << n;  // no write past n either
+  }
+}
+
+TYPED_TEST(NativeRowKernels, RowSpansMatchScalarOperators) {
+  using T = TypeParam;
+  Rng rng(71);
+  const T big = std::numeric_limits<T>::max() / T(4);
+  for (const std::size_t n : kNativeRowWidths) {
+    for (int rep = 0; rep < 8; ++rep) {
+      Row<T> r(n);
+      const auto value = [&] {
+        const double u = rng.uniform(0.0, 1.0);
+        const T sign = rng.uniform(0.0, 1.0) < 0.5 ? T(-1) : T(1);
+        if (u < 0.1) return sign * std::numeric_limits<T>::denorm_min();
+        if (u < 0.15) return sign * T(0.0);
+        if (u < 0.2) return sign * big;  // products overflow to +-inf
+        return T(rng.uniform(-2.0, 2.0));
+      };
+      r.df_ri = value();
+      r.dg_ri = value();
+      r.inv_ri = value();
+      for (std::size_t t = 0; t < n; ++t) {
+        r.prev[t] = value();
+        r.df_q[t] = value();
+        r.dg_q[t] = value();
+        r.inv_q[t] = value();
+      }
+      expect_row_matches_scalar(r, "edge");
+      // Two distinct NaN payloads in one lane hand it to the scalar loop.
+      r.prev[n / 2] = std::numeric_limits<T>::quiet_NaN();
+      r.dg_q[n / 2] = -std::numeric_limits<T>::quiet_NaN();
+      expect_row_matches_scalar(r, "nan operands");
+    }
+  }
+}
+
+// The scan-average divides row l by l + 1; the native rows multiply by
+// 2^-k instead when l + 1 = 2^k.  Both are the correctly rounded value of
+// the same exact quotient, so they agree bitwise on every input class.
+template <typename T>
+void expect_pow2_reciprocal_exact() {
+  using Lim = std::numeric_limits<T>;
+  std::vector<T> xs = {T(0.0), T(-0.0), Lim::infinity(), -Lim::infinity(),
+                       Lim::quiet_NaN(), -Lim::quiet_NaN(),
+                       Lim::signaling_NaN(), Lim::denorm_min(),
+                       -Lim::denorm_min(), Lim::min(), Lim::min() * T(3),
+                       Lim::max(), T(1.0), T(3.0), T(0.1)};
+  Rng rng(73);
+  for (int i = 0; i < 20000; ++i) {  // every bit pattern class, uniformly
+    xs.push_back(from_bits<T>(std::uint64_t(rng.next_u64())));
+  }
+  for (int k = 0; k < Lim::max_exponent - 1; ++k) {
+    volatile T div = T(std::ldexp(1.0, k));  // not a compile-time constant
+    const T inv = T(1) / div;
+    for (const T x : xs) {
+      ASSERT_EQ(bits_of(T(x / div)), bits_of(T(x * inv)))
+          << "k=" << k << " x bits=" << std::uint64_t(bits_of(x));
+    }
+  }
+}
+
+TEST(ScanDivisor, PowerOfTwoReciprocalIsExact) {
+  expect_pow2_reciprocal_exact<double>();
+  expect_pow2_reciprocal_exact<float>();
+}
+
 // --- Dispatch plumbing ----------------------------------------------------
 
 TEST(SimdDispatch, ParseAndClamp) {
@@ -513,6 +773,7 @@ TEST(SimdDispatch, ParseAndClamp) {
   EXPECT_EQ(parse_level("scalar"), kScalar);
   EXPECT_EQ(parse_level("f16c"), kF16C);
   EXPECT_EQ(parse_level("avx2"), kAvx2);
+  EXPECT_EQ(parse_level("avx512"), kAvx512);
   EXPECT_EQ(parse_level("avx512fp16"), kAvx512Fp16);
   EXPECT_THROW(parse_level("sse9"), ConfigError);
   EXPECT_THROW(apply_option("bogus"), ConfigError);
@@ -521,6 +782,9 @@ TEST(SimdDispatch, ParseAndClamp) {
   apply_option("avx2");
   EXPECT_EQ(active_level(), detected_level() < kAvx2 ? detected_level()
                                                      : kAvx2);
+  apply_option("avx512");
+  EXPECT_EQ(active_level(), detected_level() < kAvx512 ? detected_level()
+                                                       : kAvx512);
   apply_option("avx512fp16");
   EXPECT_EQ(active_level(), detected_level());
   apply_option("scalar");

@@ -58,7 +58,7 @@ int run(int argc, char** argv) {
         "                 [--faults=SPEC] [--max-retries=N] "
         "[--escalate-precision]\n"
         "                 [--metrics-out=FILE.json] [--trace-out=FILE.json]\n"
-        "                 [--simd=auto|scalar|f16c|avx2|avx512fp16]\n"
+        "                 [--simd=auto|scalar|f16c|avx2|avx512|avx512fp16]\n"
         "                 [--prefilter=off|sketch] [--prefilter-budget=B]\n"
         "                 [--checkpoint=FILE.ckpt] [--resume=FILE.ckpt]\n"
         "                 [--checkpoint-interval=K] [--slice-rows=R]\n"
