@@ -1,11 +1,14 @@
 // Microbenchmarks (google-benchmark) of the simulator's hot paths:
 // per-entry host throughput of the three main kernels per precision mode,
-// and the software float16 conversion/arithmetic primitives.  These track
+// the software float16 conversion/arithmetic primitives, and the CSV
+// render/parse layers of the one-shot path.  These track
 // performance regressions of the simulation itself (they say nothing
 // about GPU performance — that is the roofline model's job).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <filesystem>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -19,6 +22,8 @@
 #include "mp/simd/span.hpp"
 #include "mp/sketch.hpp"
 #include "precision/modes.hpp"
+#include "serve/render.hpp"
+#include "tsdata/io.hpp"
 #include "tsdata/synthetic.hpp"
 
 namespace {
@@ -408,6 +413,55 @@ void BM_Float16Arithmetic(benchmark::State& state) {
   state.SetItemsProcessed(std::int64_t(state.iterations()) * 4096 * 2);
 }
 
+// The CSV layers of the one-shot path at batch_modes' size (8192 segments
+// x 4 dims, window 64): rendering the profile document and parsing an
+// input series file.  Items are cells (one profile/index pair or one
+// sample); the byte rate is the one perfbench reports per layer.
+constexpr std::size_t kCsvSegments = 8192, kCsvDims = 4, kCsvWindow = 64;
+
+void BM_ProfileToCsv(benchmark::State& state) {
+  Rng rng(7);
+  mp::MatrixProfileResult result;
+  result.segments = kCsvSegments;
+  result.dims = kCsvDims;
+  result.profile.resize(kCsvSegments * kCsvDims);
+  result.index.resize(kCsvSegments * kCsvDims);
+  for (auto& v : result.profile) v = rng.uniform(0.0, 16.0);
+  for (auto& v : result.index) {
+    v = std::int64_t(rng.uniform_index(kCsvSegments));
+  }
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string csv = serve::profile_to_csv(result);
+    bytes = csv.size();
+    benchmark::DoNotOptimize(csv.data());
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                          std::int64_t(kCsvSegments * kCsvDims));
+  state.SetBytesProcessed(std::int64_t(state.iterations() * bytes));
+}
+
+void BM_ReadCsv(benchmark::State& state) {
+  SyntheticSpec spec;
+  spec.segments = kCsvSegments;
+  spec.dims = kCsvDims;
+  spec.window = kCsvWindow;
+  spec.seed = 1;
+  const TimeSeries series = make_synthetic_dataset(spec).reference;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "mpsim_bm_read.csv").string();
+  write_csv(path, series);
+  const auto bytes = std::int64_t(std::filesystem::file_size(path));
+  for (auto _ : state) {
+    const TimeSeries back = read_csv(path);
+    benchmark::DoNotOptimize(back.raw().data());
+  }
+  std::filesystem::remove(path);
+  state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                          std::int64_t(series.length() * series.dims()));
+  state.SetBytesProcessed(std::int64_t(state.iterations()) * bytes);
+}
+
 using F64 = PrecisionTraits<PrecisionMode::FP64>;
 using F32 = PrecisionTraits<PrecisionMode::FP32>;
 using F16 = PrecisionTraits<PrecisionMode::FP16>;
@@ -446,6 +500,8 @@ BENCHMARK(BM_Float16Arithmetic);
 BENCHMARK(BM_ParallelForDispatch)->Arg(64)->Arg(4096);
 BENCHMARK(BM_RowBatchDispatch)->Arg(1)->Arg(8)->Arg(32);
 BENCHMARK(BM_CoordinatorDispatch)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_ProfileToCsv);
+BENCHMARK(BM_ReadCsv);
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);

@@ -47,6 +47,11 @@ run_one() {
     # block under ASan's bounds checks.
     "$dir"/tests/test_simd_dispatch \
         --gtest_filter='SimdDispatchEquality.*WideScanDivisor'
+    # The CSV reader parses cells with from_chars on a view of the file
+    # buffer: the differential suite feeds it exact-size heap buffers with
+    # no NUL after the last cell, so any read past the end trips ASan.
+    "$dir"/tests/test_tsdata --gtest_filter='CsvDifferential.*:CsvIo.*'
+    "$dir"/tests/test_serve --gtest_filter='CsvDifferential.*'
   fi
   if [ "$kind" = thread ]; then
     # Hammer the lock-free metrics registry beyond the single CTest pass:

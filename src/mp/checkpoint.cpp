@@ -7,11 +7,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <type_traits>
 
 #include "common/error.hpp"
+#include "common/text_io.hpp"
 
 namespace mpsim::mp {
 
@@ -226,17 +225,12 @@ void write_checkpoint(const std::string& path, const CheckpointData& data) {
 }
 
 CheckpointData read_checkpoint(const std::string& path) {
-  std::string buf;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good()) {
-      throw CheckpointError("cannot open checkpoint '" + path + "'",
-                            CheckpointError::Reason::kMissing);
-    }
-    std::ostringstream os;
-    os << in.rdbuf();
-    buf = os.str();
+  const std::optional<std::string> file = read_file(path);
+  if (!file) {
+    throw CheckpointError("cannot open checkpoint '" + path + "'",
+                          CheckpointError::Reason::kMissing);
   }
+  const std::string& buf = *file;
   if (buf.size() < kMagicLen + sizeof(std::uint64_t) ||
       std::memcmp(buf.data(), kMagic, kMagicLen) != 0) {
     throw CheckpointError("'" + path +

@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -74,6 +75,21 @@ inline std::int64_t scan_step_count(std::size_t d) {
   return steps;
 }
 
+/// One scan add x[l] + x[l - offset] with a pinned NaN payload.  With two
+/// NaN inputs x86 returns the first source operand's payload and the
+/// compiler may commute the add, so a native x[l] that is NaN is returned
+/// quieted (x + x) whatever the other operand holds: row l's payload
+/// survives, as in the engine's row_add (kernels.hpp).  The emulated types
+/// already keep the first NaN operand (finish_binop), so they add plainly.
+template <typename T>
+inline T scan_add(T x, T y) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return x != x ? T(x + x) : T(x + y);
+  } else {
+    return T(x + y);
+  }
+}
+
 /// Hillis–Steele inclusive scan over x[0..d) followed by the progressive
 /// average of Eq. (2): on return, x[l] = (sum of the original x[0..l]) /
 /// (l+1).  `scratch` must hold d elements.  The log-step summation order is
@@ -83,7 +99,7 @@ template <typename T>
 void inclusive_scan_average(T* x, T* scratch, std::size_t d) {
   for (std::size_t offset = 1; offset < d; offset <<= 1) {
     for (std::size_t l = 0; l < d; ++l) {
-      scratch[l] = l >= offset ? T(x[l] + x[l - offset]) : x[l];
+      scratch[l] = l >= offset ? scan_add(x[l], x[l - offset]) : x[l];
     }
     for (std::size_t l = 0; l < d; ++l) x[l] = scratch[l];
   }
@@ -98,7 +114,9 @@ void inclusive_scan_average(T* x, T* scratch, std::size_t d) {
 template <typename T>
 inline void scan_average_column(T* x, std::size_t d) {
   for (std::size_t offset = 1; offset < d; offset <<= 1) {
-    for (std::size_t l = d; l-- > offset;) x[l] = T(x[l] + x[l - offset]);
+    for (std::size_t l = d; l-- > offset;) {
+      x[l] = scan_add(x[l], x[l - offset]);
+    }
   }
   for (std::size_t l = 0; l < d; ++l) x[l] = x[l] / T(double(l + 1));
 }
@@ -174,7 +192,9 @@ inline void bitonic_sort_fixed(T* buf) {
 template <std::size_t D, typename T>
 inline void inclusive_scan_average_fixed(T* x) {
   for (std::size_t offset = 1; offset < D; offset <<= 1) {
-    for (std::size_t l = D; l-- > offset;) x[l] = T(x[l] + x[l - offset]);
+    for (std::size_t l = D; l-- > offset;) {
+      x[l] = scan_add(x[l], x[l - offset]);
+    }
   }
   for (std::size_t l = 0; l < D; ++l) x[l] = x[l] / T(double(l + 1));
 }

@@ -1,27 +1,34 @@
 #include "serve/render.hpp"
 
 #include <fstream>
-#include <sstream>
 
 #include "common/error.hpp"
+#include "common/text_io.hpp"
 
 namespace mpsim::serve {
 
 std::string profile_to_csv(const mp::MatrixProfileResult& result) {
-  std::ostringstream out;
-  out.precision(17);
+  // Plain appends, no worst-case reserve: pre-sizing costs peak RSS
+  // (docs/DESIGN.md, "CSV I/O").
+  std::string out;
   for (std::size_t k = 0; k < result.dims; ++k) {
-    out << (k == 0 ? "" : ",") << "profile_" << k << ",index_" << k;
+    if (k != 0) out += ',';
+    out += "profile_";
+    append_int(out, std::int64_t(k));
+    out += ",index_";
+    append_int(out, std::int64_t(k));
   }
-  out << '\n';
+  out += '\n';
   for (std::size_t j = 0; j < result.segments; ++j) {
     for (std::size_t k = 0; k < result.dims; ++k) {
-      out << (k == 0 ? "" : ",") << result.at(j, k) << ','
-          << result.index_at(j, k);
+      if (k != 0) out += ',';
+      append_double(out, result.at(j, k));
+      out += ',';
+      append_int(out, result.index_at(j, k));
     }
-    out << '\n';
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 void write_profile_csv(const std::string& path,

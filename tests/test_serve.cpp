@@ -7,18 +7,24 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
+#include "common/rng.hpp"
 #include "common/shutdown.hpp"
+#include "csv_corpus.hpp"
 #include "mp/checkpoint.hpp"
 #include "mp/matrix_profile.hpp"
 #include "serve/cache.hpp"
@@ -122,6 +128,91 @@ TEST(ServeProtocol, HeadersAreFramedAndEscaped) {
       << err;
   // The header must stay a single line despite the embedded newline.
   EXPECT_EQ(err.find('\n'), err.size() - 1);
+}
+
+// ---------------------------------------------------------------------------
+// Render
+
+// The ostream renderer profile_to_csv replaced, kept as the oracle of its
+// byte-identity: every goldened profile CSV was written through it.
+std::string stream_profile_csv(const mp::MatrixProfileResult& result) {
+  std::ostringstream out;
+  out.precision(17);
+  for (std::size_t k = 0; k < result.dims; ++k) {
+    out << (k == 0 ? "" : ",") << "profile_" << k << ",index_" << k;
+  }
+  out << '\n';
+  for (std::size_t j = 0; j < result.segments; ++j) {
+    for (std::size_t k = 0; k < result.dims; ++k) {
+      out << (k == 0 ? "" : ",") << result.at(j, k) << ','
+          << result.index_at(j, k);
+    }
+    out << '\n';
+  }
+  return out.str();
+}
+
+// Empty when equal, else the first differing line of each.
+std::string first_difference(const std::string& got,
+                             const std::string& want) {
+  const auto diff = std::mismatch(got.begin(), got.end(), want.begin(),
+                                  want.end());
+  if (diff.first == got.end() && diff.second == want.end()) return "";
+  const std::size_t at = std::size_t(diff.first - got.begin());
+  const std::size_t line = got.rfind('\n', at == 0 ? 0 : at - 1);
+  const std::size_t from = line == std::string::npos || at == 0 ? 0 : line + 1;
+  return "got '" + got.substr(from, got.find('\n', from) - from) +
+         "' want '" + want.substr(from, want.find('\n', from) - from) + "'";
+}
+
+TEST(CsvDifferential, ProfileToCsvMatchesStreamRendering) {
+  // 16 chunks of 32768 segments x 2 dims: 2^20 random bit patterns, the
+  // edge values in front, and indices from -1 (no match) to +-2^63.
+  constexpr std::size_t kSegments = 32768, kDims = 2, kChunks = 16;
+  const std::vector<std::int64_t> edge_indices = {
+      -1, 0, 1, 9, 10, 99, 100, 8191,
+      std::numeric_limits<std::int64_t>::max(),
+      std::numeric_limits<std::int64_t>::min(), -1234567890123456789LL};
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    mp::MatrixProfileResult r;
+    r.segments = kSegments;
+    r.dims = kDims;
+    r.profile = csv_random_values(kSegments * kDims, 100 + c);
+    r.index.resize(kSegments * kDims);
+    Rng rng(200 + c);
+    for (auto& i : r.index) {
+      i = std::int64_t(rng.next_u64() >> rng.uniform_index(64));
+    }
+    if (c == 0) {
+      const auto edges = csv_edge_values();
+      std::copy(edges.begin(), edges.end(), r.profile.begin());
+      std::copy(edge_indices.begin(), edge_indices.end(), r.index.begin());
+    }
+    const std::string diff =
+        first_difference(profile_to_csv(r), stream_profile_csv(r));
+    EXPECT_EQ(diff, "") << "chunk " << c;
+  }
+}
+
+TEST(CsvDifferential, WriteProfileCsvWritesTheRenderedBytes) {
+  mp::MatrixProfileResult r;
+  r.segments = 3;
+  r.dims = 2;
+  r.profile = {0.5, -0.0, std::numeric_limits<double>::infinity(),
+               1e21, std::numeric_limits<double>::quiet_NaN(), 2.0 / 3.0};
+  r.index = {0, -1, 7, 123456789, -1, 2};
+  const auto path = temp_file("mpsim_render_profile.csv");
+  write_profile_csv(path, r);
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(bytes.str(),
+            "profile_0,index_0,profile_1,index_1\n"
+            "0.5,0,1e+21,123456789\n"
+            "-0,-1,nan,-1\n"
+            "inf,7,0.66666666666666663,2\n");
+  EXPECT_EQ(bytes.str(), stream_profile_csv(r));
+  std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------------------

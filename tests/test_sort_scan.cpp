@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -318,6 +321,72 @@ TEST(ScanAverageColumn, MatchesScratchVersion) {
     scan_average_column(a.data(), d);
     inclusive_scan_average(b.data(), scratch.data(), d);
     expect_bytes_equal(a.data(), b.data(), d, "scan_average_column");
+  }
+}
+
+// When two NaNs meet in one scan add, every scan keeps row l's payload
+// (x[l] + x[l - offset] returns x[l] quieted), as the engine's row_add
+// does: the CPU reference (std::sort + inclusive_scan_average, as in
+// cpu_reference.cpp) and the engine (sort_scan_block, sort_scan_column)
+// must give the same NaN bits on columns mixing two NaN payloads.
+template <typename T, typename Bits>
+void check_nan_payloads_match_reference(std::size_t d, Bits qnan_bits,
+                                        Bits other_nan_bits) {
+  const T a = std::bit_cast<T>(qnan_bits);
+  const T b = std::bit_cast<T>(other_nan_bits);
+  const T inf = std::numeric_limits<T>::infinity();
+  std::vector<std::vector<T>> patterns(3, std::vector<T>(d, T(1)));
+  patterns[0][0] = a;
+  patterns[0][1] = b;
+  patterns[1][0] = b;
+  patterns[1][1] = a;
+  patterns[2][d - 2] = a;
+  patterns[2][d - 1] = b;
+
+  const std::size_t p2 = next_pow2(d);
+  const std::size_t bn = 19;  // not a lane multiple: epilogues run too
+  std::vector<T> blk(p2 * bn, inf);
+  std::vector<std::vector<T>> expect(bn);
+  for (std::size_t jj = 0; jj < bn; ++jj) {
+    const std::vector<T>& col = patterns[jj % patterns.size()];
+    std::vector<T> ref = col, scratch(d);
+    std::sort(ref.begin(), ref.end());
+    // Precondition: std::sort and the Bitonic network leave each pattern
+    // in the same order, so only the scan decides the NaN bits.
+    std::vector<T> net = col;
+    net.resize(p2, inf);
+    bitonic_sort(net.data(), p2);
+    ASSERT_EQ(std::memcmp(ref.data(), net.data(), d * sizeof(T)), 0);
+    inclusive_scan_average(ref.data(), scratch.data(), d);
+
+    std::vector<T> column = col;
+    column.resize(p2, inf);
+    sort_scan_column(column.data(), d);
+    expect_bytes_equal(column.data(), ref.data(), d, "sort_scan_column");
+    for (std::size_t l = 0; l < d; ++l) blk[l * bn + jj] = col[l];
+    expect[jj] = std::move(ref);
+  }
+  sort_scan_block(blk.data(), bn, bn, d);
+  for (std::size_t jj = 0; jj < bn; ++jj) {
+    for (std::size_t l = 0; l < d; ++l) {
+      EXPECT_EQ(std::bit_cast<Bits>(blk[l * bn + jj]),
+                std::bit_cast<Bits>(expect[jj][l]))
+          << "d=" << d << " column " << jj << " row " << l;
+    }
+  }
+}
+
+TEST(ScanNanPayload, ReferenceAndEngineAgreeDouble) {
+  for (std::size_t d : {4u, 9u}) {
+    check_nan_payloads_match_reference<double, std::uint64_t>(
+        d, 0x7ff8000000000000ULL, 0xfff8000000000001ULL);
+  }
+}
+
+TEST(ScanNanPayload, ReferenceAndEngineAgreeFloat) {
+  for (std::size_t d : {4u, 9u}) {
+    check_nan_payloads_match_reference<float, std::uint32_t>(
+        d, 0x7fc00000U, 0xffc00001U);
   }
 }
 

@@ -4,12 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <memory>
 #include <set>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/text_io.hpp"
+#include "csv_corpus.hpp"
 #include "tsdata/genome.hpp"
 #include "tsdata/hpc_telemetry.hpp"
 #include "tsdata/io.hpp"
@@ -493,6 +502,162 @@ TEST(CsvIo, HeaderOnlyFileIsAnError) {
   }
   EXPECT_THROW(read_csv(path), Error);
   std::remove(path.c_str());
+}
+
+// ---- CSV differential tests: read_csv against strtod -------------------
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::uint64_t strtod_bits(const std::string& cell) {
+  return bits_of(std::strtod(cell.c_str(), nullptr));
+}
+
+// parse_csv over an exact-size heap copy of `text` with no NUL after it,
+// so a read past the last byte trips AddressSanitizer.
+TimeSeries parse_unterminated(const std::string& text) {
+  const auto buf = std::make_unique<char[]>(text.size());
+  std::memcpy(buf.get(), text.data(), text.size());
+  return parse_csv(std::string_view(buf.get(), text.size()), "buffer");
+}
+
+// Rows of `values` rendered as write_csv renders them, `dims` cells a row;
+// `expect` gets strtod's bits of each rendered cell.
+std::string render_rows(const std::vector<double>& values, std::size_t dims,
+                        std::vector<std::uint64_t>& expect) {
+  std::string text, cell;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    cell.clear();
+    append_double(cell, values[i]);
+    expect.push_back(strtod_bits(cell));
+    text += cell;
+    text += (i + 1) % dims == 0 ? '\n' : ',';
+  }
+  return text;
+}
+
+void expect_series_bits(const TimeSeries& ts, std::size_t dims,
+                        const std::vector<std::uint64_t>& expect) {
+  ASSERT_EQ(ts.dims(), dims);
+  ASSERT_EQ(ts.length() * dims, expect.size());
+  std::size_t mismatches = 0;
+  for (std::size_t t = 0; t < ts.length(); ++t) {
+    for (std::size_t k = 0; k < dims; ++k) {
+      if (bits_of(ts.at(t, k)) != expect[t * dims + k] && ++mismatches < 5) {
+        ADD_FAILURE() << "row " << t << " col " << k << ": read "
+                      << ts.at(t, k) << ", strtod gives "
+                      << std::bit_cast<double>(expect[t * dims + k]);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(CsvDifferential, ParseMatchesStrtodOnRenderedCorpus) {
+  // 4 chunks of 65536 rows x 4 cells: 2^20 random bit patterns, the edge
+  // values in front.
+  constexpr std::size_t kRows = 65536, kDims = 4, kChunks = 4;
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    auto values = csv_random_values(kRows * kDims, 300 + c);
+    if (c == 0) {
+      const auto edges = csv_edge_values();
+      std::copy(edges.begin(), edges.end(), values.begin());
+    }
+    std::vector<std::uint64_t> expect;
+    const std::string text = render_rows(values, kDims, expect);
+    expect_series_bits(parse_unterminated(text), kDims, expect);
+  }
+}
+
+TEST(CsvDifferential, WriteCsvReadCsvMatchesStrtod) {
+  const auto values = csv_random_values(4096 * 3, 400);
+  TimeSeries ts(4096, 3);
+  for (std::size_t t = 0; t < 4096; ++t) {
+    for (std::size_t k = 0; k < 3; ++k) ts.at(t, k) = values[t * 3 + k];
+  }
+  std::vector<std::uint64_t> expect;
+  render_rows(values, 3, expect);
+  const auto path = (std::filesystem::temp_directory_path() /
+                     "mpsim_io_corpus.csv").string();
+  write_csv(path, ts);
+  expect_series_bits(read_csv(path), 3, expect);
+  std::remove(path.c_str());
+}
+
+TEST(CsvDifferential, CellsKeepTheirStrtodValue) {
+  // Each cell parses to strtod's bits, in the first column (where it also
+  // decides header detection) and in the last, with and without a final
+  // newline.
+  for (const std::string cell :
+       {"+1.5", " 1.5", "\t1.5", "0x1p3", "-0X1P-2", "1e999", "-1e999",
+        "1e-400", "-1e-400", "4.9e-324", "nan", "-nan", "inf", "-inf",
+        "Infinity", "NAN(123)", "nan(0x8000000000001)", "1.5 ", "1.5\t",
+        "-0", ".5", "5.", "1E+2", "0000.25", "1.5 \r"}) {
+    const std::uint64_t want = strtod_bits(cell);
+    const std::pair<std::string, std::size_t> placements[] = {
+        {cell + ",0\n", 0}, {cell + ",0", 0}, {"0," + cell + "\n", 1},
+        {"0," + cell, 1}};
+    for (const auto& [text, k] : placements) {
+      const TimeSeries ts = parse_unterminated(text);
+      ASSERT_EQ(ts.length(), 1u) << "cell '" << cell << "'";
+      EXPECT_EQ(bits_of(ts.at(0, k)), want)
+          << "cell '" << cell << "' in '" << text << "'";
+    }
+  }
+}
+
+TEST(CsvDifferential, TrailingJunkIsANonNumericCell) {
+  for (const std::string cell :
+       {"1.5abc", "4x", "1.5 x", "0x", "0x1p3z", "1e", "nan(", "inf inf",
+        "--1", "+-1", "", " ", "1,5"}) {
+    const std::string text = "1,2\n3," + cell + "\n";
+    try {
+      parse_unterminated(text);
+      FAIL() << "cell '" << cell << "' was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("buffer:2:"), std::string::npos) << what;
+      if (cell.find(',') == std::string::npos) {
+        EXPECT_NE(what.find("non-numeric cell '" + cell + "'"),
+                  std::string::npos)
+            << what;
+      }
+    }
+  }
+}
+
+TEST(CsvDifferential, HeaderDetectionUsesTheCellRule) {
+  // A first cell with trailing junk is not a number, so its row is a
+  // header; a first cell strtod reads whole keeps its row as data.
+  const TimeSeries junk = parse_unterminated("3.0x,4\n1,2\n");
+  EXPECT_EQ(junk.length(), 1u);
+  EXPECT_EQ(junk.at(0, 1), 2.0);
+  const TimeSeries hex = parse_unterminated("0x10,4\n1,2\n");
+  ASSERT_EQ(hex.length(), 2u);
+  EXPECT_EQ(hex.at(0, 0), 16.0);
+}
+
+TEST(CsvDifferential, LastRowMayEndAtTheEndOfTheFile) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto path = (dir / "mpsim_io_nofinalnewline.csv").string();
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs("a,b\n1.5,2.5\n3.5,0x1p-1", f);
+    std::fclose(f);
+  }
+  const TimeSeries ts = read_csv(path);
+  ASSERT_EQ(ts.length(), 2u);
+  EXPECT_EQ(ts.at(1, 0), 3.5);
+  EXPECT_EQ(ts.at(1, 1), 0.5);
+  std::remove(path.c_str());
+
+  // The last byte of the buffer is the last byte of the last cell, for
+  // each path a cell can take.
+  for (const std::string last : {"4.25", "1e999", "0x1p3", "nan", "+1", "7 "}) {
+    const TimeSeries end = parse_unterminated("1,2\r\n3," + last);
+    ASSERT_EQ(end.length(), 2u) << last;
+    EXPECT_EQ(bits_of(end.at(1, 1)), strtod_bits(last)) << last;
+  }
+  EXPECT_EQ(parse_unterminated("1\n2\r").at(1, 0), 2.0);
 }
 
 }  // namespace
